@@ -108,6 +108,49 @@ impl Ltl {
         }
     }
 
+    /// Propagates the constants `True`/`False` upwards until none is left
+    /// below an operator it decides: `¬`, `∧`, `∨` by their truth tables,
+    /// `X c ≡ c`, `φ U true ≡ true`, `φ U false ≡ false`,
+    /// `false U ψ ≡ ψ`, `φ R true ≡ true`, `φ R false ≡ false`,
+    /// `true R ψ ≡ ψ`. Subformulas without constants keep their shape, and
+    /// `true U ψ` (`F ψ`) and `false R ψ` (`G ψ`) stay as they are, so the
+    /// result is semantically equal and a constant exactly when a
+    /// constant leaf decides it.
+    pub fn fold_constants(&self) -> Ltl {
+        match self {
+            Ltl::True | Ltl::False | Ltl::Ap(_) => self.clone(),
+            Ltl::Not(f) => match f.fold_constants() {
+                Ltl::True => Ltl::False,
+                Ltl::False => Ltl::True,
+                g => Ltl::not(g),
+            },
+            Ltl::And(a, b) => match (a.fold_constants(), b.fold_constants()) {
+                (Ltl::False, _) | (_, Ltl::False) => Ltl::False,
+                (Ltl::True, g) | (g, Ltl::True) => g,
+                (x, y) => Ltl::and(x, y),
+            },
+            Ltl::Or(a, b) => match (a.fold_constants(), b.fold_constants()) {
+                (Ltl::True, _) | (_, Ltl::True) => Ltl::True,
+                (Ltl::False, g) | (g, Ltl::False) => g,
+                (x, y) => Ltl::or(x, y),
+            },
+            Ltl::X(f) => match f.fold_constants() {
+                c @ (Ltl::True | Ltl::False) => c,
+                g => Ltl::next(g),
+            },
+            Ltl::U(a, b) => match (a.fold_constants(), b.fold_constants()) {
+                (_, c @ (Ltl::True | Ltl::False)) => c,
+                (Ltl::False, g) => g,
+                (x, y) => Ltl::until(x, y),
+            },
+            Ltl::R(a, b) => match (a.fold_constants(), b.fold_constants()) {
+                (_, c @ (Ltl::True | Ltl::False)) => c,
+                (Ltl::True, g) => g,
+                (x, y) => Ltl::release(x, y),
+            },
+        }
+    }
+
     /// Highest proposition index used, if any.
     pub fn max_ap(&self) -> Option<ApId> {
         match self {
@@ -346,6 +389,68 @@ mod tests {
                 );
             }
         }
+    }
+
+    fn p() -> Ltl {
+        Ltl::ap(0)
+    }
+
+    #[test]
+    fn fold_negates_constants() {
+        assert_eq!(Ltl::not(Ltl::True).fold_constants(), Ltl::False);
+        assert_eq!(Ltl::not(Ltl::False).fold_constants(), Ltl::True);
+        assert_eq!(Ltl::not(p()).fold_constants(), Ltl::not(p()));
+    }
+
+    #[test]
+    fn fold_conjunction() {
+        assert_eq!(Ltl::and(p(), Ltl::False).fold_constants(), Ltl::False);
+        assert_eq!(Ltl::and(Ltl::False, p()).fold_constants(), Ltl::False);
+        assert_eq!(Ltl::and(Ltl::True, p()).fold_constants(), p());
+        assert_eq!(Ltl::and(p(), Ltl::True).fold_constants(), p());
+    }
+
+    #[test]
+    fn fold_disjunction() {
+        assert_eq!(Ltl::or(p(), Ltl::True).fold_constants(), Ltl::True);
+        assert_eq!(Ltl::or(Ltl::True, p()).fold_constants(), Ltl::True);
+        assert_eq!(Ltl::or(Ltl::False, p()).fold_constants(), p());
+        assert_eq!(Ltl::or(p(), Ltl::False).fold_constants(), p());
+    }
+
+    #[test]
+    fn fold_next_of_a_constant() {
+        assert_eq!(Ltl::next(Ltl::True).fold_constants(), Ltl::True);
+        assert_eq!(Ltl::next(Ltl::False).fold_constants(), Ltl::False);
+        assert_eq!(Ltl::next(p()).fold_constants(), Ltl::next(p()));
+    }
+
+    #[test]
+    fn fold_until() {
+        assert_eq!(Ltl::until(p(), Ltl::True).fold_constants(), Ltl::True);
+        assert_eq!(Ltl::until(p(), Ltl::False).fold_constants(), Ltl::False);
+        assert_eq!(Ltl::until(Ltl::False, p()).fold_constants(), p());
+        // `F p` keeps its shape.
+        assert_eq!(Ltl::finally(p()).fold_constants(), Ltl::finally(p()));
+    }
+
+    #[test]
+    fn fold_release() {
+        assert_eq!(Ltl::release(p(), Ltl::True).fold_constants(), Ltl::True);
+        assert_eq!(Ltl::release(p(), Ltl::False).fold_constants(), Ltl::False);
+        assert_eq!(Ltl::release(Ltl::True, p()).fold_constants(), p());
+        // `G p` keeps its shape.
+        assert_eq!(Ltl::globally(p()).fold_constants(), Ltl::globally(p()));
+    }
+
+    #[test]
+    fn fold_propagates_through_nesting() {
+        // ¬G(false → X p) grounds to ¬(false R (¬false ∨ X p)).
+        let f = Ltl::not(Ltl::globally(Ltl::implies(Ltl::False, Ltl::next(p()))));
+        assert_eq!(f.fold_constants(), Ltl::False);
+        // Constant-free formulas are returned unchanged.
+        let g = Ltl::until(p(), Ltl::next(Ltl::ap(1)));
+        assert_eq!(g.fold_constants(), g);
     }
 
     #[test]

@@ -68,3 +68,27 @@ fn product_matches_conjunction() {
         assert_eq!(prod.accepts_lasso(&prefix, &cycle), both);
     });
 }
+
+/// Constant folding is semantics-preserving: on random formulas with
+/// `True`/`False` leaves and random lassos, the folded formula evaluates
+/// exactly like the original, and folding again changes nothing.
+#[test]
+fn fold_constants_preserves_semantics() {
+    gen::cases(512, seed_from("fold_constants"), |rng| {
+        let f = gen_ltl(rng, 2, 4);
+        let folded = f.fold_constants();
+        assert_eq!(
+            folded.fold_constants(),
+            folded,
+            "fold of {f} is not a fixpoint"
+        );
+        for _ in 0..4 {
+            let (prefix, cycle) = gen_word(rng, 2);
+            assert_eq!(
+                eval_on_lasso(&f, &prefix, &cycle),
+                eval_on_lasso(&folded, &prefix, &cycle),
+                "folding {f} to {folded} changed its value on ({prefix:?}, {cycle:?})"
+            );
+        }
+    });
+}

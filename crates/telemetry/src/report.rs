@@ -23,9 +23,12 @@
 //! shards contribute partial work. v4 adds the `crash_recoveries`
 //! counter: how many crashed scheduler slices the serving layer absorbed
 //! and re-dispatched from a parked checkpoint before this report's run
-//! finished (0 for direct, unserved runs). [`RunReport::from_json`] still
-//! accepts v1–v3 documents (their `abort` / NBA counters /
-//! `crash_recoveries` default to `None` / 0 / 0).
+//! finished (0 for direct, unserved runs). v5 adds the
+//! `valuations_vacuous` counter: universal-closure valuations the
+//! column-domain analysis decided before any search (deterministic, so
+//! redaction keeps it). [`RunReport::from_json`] still accepts v1–v4
+//! documents (their `abort` / NBA counters / `crash_recoveries` /
+//! `valuations_vacuous` default to `None` / 0 / 0 / 0).
 
 use crate::control::AbortReason;
 use crate::json::Json;
@@ -34,7 +37,7 @@ use crate::stats::SearchStats;
 /// The schema identifier every run report carries.
 pub const SCHEMA_NAME: &str = "ddws.run-report";
 /// The current schema version (frozen field set; bump on change).
-pub const SCHEMA_VERSION: u64 = 4;
+pub const SCHEMA_VERSION: u64 = 5;
 /// The oldest schema version [`RunReport::from_json`] still accepts.
 pub const MIN_SCHEMA_VERSION: u64 = 1;
 
@@ -70,6 +73,10 @@ pub struct Counters {
     /// count is deterministic under a seeded crash plan, so redaction
     /// keeps it.
     pub crash_recoveries: u64,
+    /// Universal-closure valuations decided `holds` without a search
+    /// because their negated property folds to `false` (schema v5; 0 when
+    /// parsed from older documents).
+    pub valuations_vacuous: u64,
     /// Whether any contributing search aborted on its state budget.
     pub truncated: bool,
 }
@@ -89,6 +96,7 @@ impl Counters {
             nba_cache_hits: stats.nba_cache_hits,
             nba_cache_misses: stats.nba_cache_misses,
             crash_recoveries: 0,
+            valuations_vacuous: stats.valuations_vacuous,
             truncated: stats.truncated,
         }
     }
@@ -250,6 +258,10 @@ impl RunReport {
                     ("nba_cache_hits".into(), Json::UInt(c.nba_cache_hits)),
                     ("nba_cache_misses".into(), Json::UInt(c.nba_cache_misses)),
                     ("crash_recoveries".into(), Json::UInt(c.crash_recoveries)),
+                    (
+                        "valuations_vacuous".into(),
+                        Json::UInt(c.valuations_vacuous),
+                    ),
                     ("truncated".into(), Json::Bool(c.truncated)),
                 ]),
             ),
@@ -319,6 +331,11 @@ impl RunReport {
                 // v1–v3 documents predate the supervisor counter.
                 crash_recoveries: c
                     .get("crash_recoveries")
+                    .and_then(Json::as_u64)
+                    .unwrap_or(0),
+                // v1–v4 documents predate the vacuous-valuation counter.
+                valuations_vacuous: c
+                    .get("valuations_vacuous")
                     .and_then(Json::as_u64)
                     .unwrap_or(0),
                 truncated: c.get("truncated").and_then(Json::as_bool).unwrap(),
@@ -462,6 +479,14 @@ pub fn validate_run_report(v: &Json) -> Result<(), String> {
     {
         return Err("missing or non-integer counter `crash_recoveries`".into());
     }
+    if version >= 5
+        && counters
+            .get("valuations_vacuous")
+            .and_then(Json::as_u64)
+            .is_none()
+    {
+        return Err("missing or non-integer counter `valuations_vacuous`".into());
+    }
     if counters.get("truncated").and_then(Json::as_bool).is_none() {
         return Err("missing or non-bool counter `truncated`".into());
     }
@@ -511,6 +536,7 @@ mod tests {
                 nba_cache_hits: 2,
                 nba_cache_misses: 1,
                 crash_recoveries: 3,
+                valuations_vacuous: 4,
                 truncated: false,
             },
             phases: PhaseTimes {
@@ -554,7 +580,7 @@ mod tests {
         assert!(validate_run_report(&r.to_json_value()).is_ok());
         let bad_schema = r.to_json().replace("ddws.run-report", "other.schema");
         assert!(RunReport::from_json(&bad_schema).is_err());
-        let bad_version = r.to_json().replace("\"version\":4", "\"version\":99");
+        let bad_version = r.to_json().replace("\"version\":5", "\"version\":99");
         assert!(RunReport::from_json(&bad_version).is_err());
         let bad_outcome = r.to_json().replace("\"holds\"", "\"maybe\"");
         assert!(RunReport::from_json(&bad_outcome).is_err());
@@ -598,7 +624,7 @@ mod tests {
         // A v1 report: version 1, no abort object, v1 outcome vocabulary.
         let v1 = sample()
             .to_json()
-            .replace("\"version\":4", "\"version\":1")
+            .replace("\"version\":5", "\"version\":1")
             .replace("\"holds\"", "\"budget_exceeded\"");
         let decoded = RunReport::from_json(&v1).unwrap();
         assert_eq!(decoded.outcome, "budget_exceeded");
@@ -606,13 +632,13 @@ mod tests {
         // The v2-only outcome vocabulary is rejected under version 1...
         let v1_new_outcome = sample()
             .to_json()
-            .replace("\"version\":4", "\"version\":1")
+            .replace("\"version\":5", "\"version\":1")
             .replace("\"holds\"", "\"cancelled\"");
         assert!(RunReport::from_json(&v1_new_outcome).is_err());
         // ...and so is a v1 document carrying an abort object.
         let v1_with_abort = aborted_sample()
             .to_json()
-            .replace("\"version\":4", "\"version\":1");
+            .replace("\"version\":5", "\"version\":1");
         assert!(RunReport::from_json(&v1_with_abort).is_err());
     }
 
@@ -621,9 +647,10 @@ mod tests {
         // A v2 report: version 2, abort object allowed, no NBA counters.
         let v2 = aborted_sample()
             .to_json()
-            .replace("\"version\":4", "\"version\":2")
+            .replace("\"version\":5", "\"version\":2")
             .replace("\"nba_cache_hits\":2,\"nba_cache_misses\":1,", "")
-            .replace("\"crash_recoveries\":3,", "");
+            .replace("\"crash_recoveries\":3,", "")
+            .replace("\"valuations_vacuous\":4,", "");
         let decoded = RunReport::from_json(&v2).unwrap();
         assert_eq!(decoded.outcome, "budget_exceeded");
         assert!(decoded.abort.is_some());
@@ -641,16 +668,36 @@ mod tests {
         // A v3 report: NBA counters present, no `crash_recoveries`.
         let v3 = aborted_sample()
             .to_json()
-            .replace("\"version\":4", "\"version\":3")
-            .replace("\"crash_recoveries\":3,", "");
+            .replace("\"version\":5", "\"version\":3")
+            .replace("\"crash_recoveries\":3,", "")
+            .replace("\"valuations_vacuous\":4,", "");
         let decoded = RunReport::from_json(&v3).unwrap();
         assert_eq!(decoded.counters.crash_recoveries, 0);
         assert_eq!(decoded.counters.nba_cache_hits, 2);
         // A v4 document missing the supervisor counter is rejected.
         let v4_missing = aborted_sample()
             .to_json()
-            .replace("\"crash_recoveries\":3,", "");
+            .replace("\"version\":5", "\"version\":4")
+            .replace("\"crash_recoveries\":3,", "")
+            .replace("\"valuations_vacuous\":4,", "");
         assert!(RunReport::from_json(&v4_missing).is_err());
+    }
+
+    #[test]
+    fn v4_documents_are_still_accepted() {
+        // A v4 report: supervisor counter present, no `valuations_vacuous`.
+        let v4 = aborted_sample()
+            .to_json()
+            .replace("\"version\":5", "\"version\":4")
+            .replace("\"valuations_vacuous\":4,", "");
+        let decoded = RunReport::from_json(&v4).unwrap();
+        assert_eq!(decoded.counters.valuations_vacuous, 0);
+        assert_eq!(decoded.counters.crash_recoveries, 3);
+        // A v5 document missing the vacuous-valuation counter is rejected.
+        let v5_missing = aborted_sample()
+            .to_json()
+            .replace("\"valuations_vacuous\":4,", "");
+        assert!(RunReport::from_json(&v5_missing).is_err());
     }
 
     #[test]
@@ -669,8 +716,10 @@ mod tests {
         // deterministic remainder the differential suite compares.
         assert_eq!(red.counters.states_visited, 10);
         assert_eq!(red.counters.transitions_explored, 20);
-        // Crash recoveries are deterministic under a seeded crash plan.
+        // Crash recoveries are deterministic under a seeded crash plan,
+        // and the vacuous-valuation count is a pure function of the input.
         assert_eq!(red.counters.crash_recoveries, 3);
+        assert_eq!(red.counters.valuations_vacuous, 4);
         // For aborted runs, `spent` is timing/schedule-dependent too.
         let mut r = aborted_sample();
         let red = r.redacted();

@@ -67,6 +67,11 @@ pub struct SearchStats {
     /// Grounded-NBA cache lookups that ran `ltl_to_nba`; equals the number
     /// of distinct grounded formula shapes, independent of shard schedule.
     pub nba_cache_misses: u64,
+    /// Universal-closure valuations decided `holds` before any search
+    /// because the column-domain analysis folded their negated property to
+    /// `false` (DESIGN.md §3.13.1). They are still counted in the run's
+    /// `valuations_checked`; they contribute no states.
+    pub valuations_vacuous: u64,
     /// Nanoseconds spent evaluating rules (inside boot + successor spans).
     pub rule_eval_ns: u64,
     /// Nanoseconds spent enumerating initial (boot) configurations.
@@ -101,6 +106,7 @@ impl SearchStats {
         self.intern_misses += other.intern_misses;
         self.nba_cache_hits += other.nba_cache_hits;
         self.nba_cache_misses += other.nba_cache_misses;
+        self.valuations_vacuous += other.valuations_vacuous;
         self.rule_eval_ns += other.rule_eval_ns;
         self.boot_ns += other.boot_ns;
         self.successor_ns += other.successor_ns;
@@ -129,6 +135,7 @@ mod tests {
             intern_misses: 15,
             nba_cache_hits: 16,
             nba_cache_misses: 17,
+            valuations_vacuous: 18,
             rule_eval_ns: 9,
             boot_ns: 10,
             successor_ns: 11,
@@ -149,6 +156,7 @@ mod tests {
             intern_misses: 1500,
             nba_cache_hits: 1600,
             nba_cache_misses: 1700,
+            valuations_vacuous: 1800,
             rule_eval_ns: 900,
             boot_ns: 1000,
             successor_ns: 1100,
@@ -172,6 +180,7 @@ mod tests {
                 intern_misses: 1515,
                 nba_cache_hits: 1616,
                 nba_cache_misses: 1717,
+                valuations_vacuous: 1818,
                 rule_eval_ns: 909,
                 boot_ns: 1010,
                 successor_ns: 1111,

@@ -33,7 +33,9 @@
 //!   specs, the `Xα`/`Uα` relativization to `moveE` and the
 //!   observer-at-recipient translation with `received_q`;
 //! * [`reduction`] — the composition → single-peer-with-lookback reduction
-//!   behind the proof of Theorem 3.4, testable for verdict equivalence.
+//!   behind the proof of Theorem 3.4, testable for verdict equivalence;
+//! * [`relevance`] — the static column-domain analysis that decides
+//!   vacuous universal-closure valuations before any search.
 
 #![warn(missing_docs)]
 pub mod counterexample;
@@ -45,6 +47,7 @@ pub mod parallel;
 pub mod product;
 pub mod protocols;
 pub mod reduction;
+pub mod relevance;
 mod scheduler;
 mod telemetry;
 pub mod verify;

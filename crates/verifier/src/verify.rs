@@ -5,6 +5,7 @@ use crate::domain::suggested_fresh_values;
 use crate::ground::{canonical_valuations, ground_ltlfo, AtomRegistry};
 use crate::oracle::{FactUniverse, Oracle};
 use crate::product::{PState, ProductSystem, SharedSearch};
+use crate::relevance::ColumnDomains;
 use ddws_automata::emptiness::SearchStats;
 use ddws_automata::{resume_accepting_lasso_with, ClockHandle, EngineCheckpoint, Ltl};
 use ddws_logic::input_bounded::{check_input_bounded_sentence, IbOptions, IbViolation};
@@ -948,8 +949,8 @@ impl Verifier {
     ///
     /// This is the convergence point of `check` and `resume`: the outer
     /// worker pool, the first-violation cancel with the deterministic
-    /// winner rule, the grounded-NBA cache, and multi-leg checkpointing
-    /// all live here. Grounding and translation are deterministic, so
+    /// winner rule, the vacuous-valuation fold, the grounded-NBA cache,
+    /// and multi-leg checkpointing all live here. Grounding and translation are deterministic, so
     /// rebuilding the automaton for a resumed valuation reproduces the
     /// exact atom numbering and NBA states its frozen frontier refers to.
     #[allow(clippy::too_many_lines)]
@@ -982,6 +983,15 @@ impl Verifier {
             ..opts.clone()
         };
         let cache = crate::scheduler::NbaCache::new();
+        // One column-domain analysis per run decides the vacuous
+        // valuations before any search (DESIGN.md §3.13.1). A single
+        // valuation has nothing to skip, so the analysis only runs for a
+        // real closure. An empty fact universe means the runs range over
+        // the fixed `base_db` alone.
+        let analysis_start = Instant::now();
+        let domains = (valuations_total >= 2)
+            .then(|| ColumnDomains::analyze(&self.comp, universe.is_empty().then_some(&base_db)));
+        meta.nba_ns += analysis_start.elapsed().as_nanos() as u64;
         let limits = meta.limits(opts);
         let deterministic = crate::scheduler::deterministic_mode(opts);
         let mut resumes: Vec<Option<EngineCheckpoint<PState>>> =
@@ -997,8 +1007,24 @@ impl Verifier {
                       resume: Option<EngineCheckpoint<PState>>,
                       limits: &ddws_automata::SearchLimits|
          -> crate::scheduler::TaskOutput {
-            let mut atoms = AtomRegistry::new();
             let nba_start = Instant::now();
+            // A resumed leg was live when it was frozen; only fresh
+            // valuations can fold away.
+            if resume.is_none()
+                && domains
+                    .as_ref()
+                    .is_some_and(|d| d.is_vacuous(&negated_body, valuation))
+            {
+                cache.add_ns(nba_start.elapsed().as_nanos() as u64);
+                return crate::scheduler::TaskOutput {
+                    stats: SearchStats {
+                        valuations_vacuous: 1,
+                        ..SearchStats::default()
+                    },
+                    verdict: crate::scheduler::TaskVerdict::Holds,
+                };
+            }
+            let mut atoms = AtomRegistry::new();
             let ltl: Ltl = ground_ltlfo(&negated_body, valuation, &mut atoms);
             let nba = cache.translate(&ltl);
             cache.add_ns(nba_start.elapsed().as_nanos() as u64);

@@ -45,16 +45,34 @@ fn main() {
             "recorded applications persist (two closure variables)",
             "forall id, l: G (O.application(id, l) -> X O.application(id, l))",
         ),
+        // Four closure variables: |domain|^4 valuations, nearly all of
+        // which bind an atom to values no run can produce. The
+        // column-domain analysis decides those before any search, so only
+        // the live valuations cost a product search.
+        (
+            "property (11): every application answered (four closure variables)",
+            bank_loan::PROP_EVERY_APPLICATION_ANSWERED,
+        ),
+        (
+            "letters imply a recorded application (four closure variables)",
+            bank_loan::PROP_LETTER_IMPLIES_APPLICATION,
+        ),
     ] {
         let t0 = Instant::now();
         match verifier.check_str(prop, &opts) {
             Ok(report) => {
                 println!(
-                    "\n[{name}]\n  verdict: {}  states: {}  transitions: {}  valuations: {}  in {:?}",
-                    if report.outcome.holds() { "HOLDS" } else { "VIOLATED" },
+                    "\n[{name}]\n  verdict: {}  states: {}  transitions: {}  valuations: {} \
+                     ({} vacuous)  in {:?}",
+                    if report.outcome.holds() {
+                        "HOLDS"
+                    } else {
+                        "VIOLATED"
+                    },
                     report.stats.states_visited,
                     report.stats.transitions_explored,
                     report.valuations_checked,
+                    report.stats.valuations_vacuous,
                     t0.elapsed()
                 );
                 if let Outcome::Violated(cex) = report.outcome {
@@ -68,30 +86,5 @@ fn main() {
             }
             Err(e) => println!("\n[{name}]\n  error: {e}"),
         }
-    }
-
-    // Properties with four closure variables (property (11), letters-imply-
-    // applications) cost one full model-checking run per valuation —
-    // |domain|^4 of them. That sweep is a benchmark-scale job
-    // (EXPERIMENTS.md); opt in explicitly:
-    if std::env::var_os("DDWS_RUN_PROPERTY_11").is_some() {
-        let t0 = Instant::now();
-        match verifier.check_str(bank_loan::PROP_EVERY_APPLICATION_ANSWERED, &opts) {
-            Ok(report) => println!(
-                "\n[property (11): every application answered]\n  verdict: {}  states: {}  \
-                 valuations: {}  in {:?}",
-                if report.outcome.holds() {
-                    "HOLDS"
-                } else {
-                    "VIOLATED"
-                },
-                report.stats.states_visited,
-                report.valuations_checked,
-                t0.elapsed()
-            ),
-            Err(e) => println!("\n[property (11)]\n  error: {e}"),
-        }
-    } else {
-        println!("\n(property (11) sweep skipped; set DDWS_RUN_PROPERTY_11=1 to run it)");
     }
 }
