@@ -20,15 +20,26 @@
 //!   rule on the accumulator peer, so rule-dense evaluation (footprint
 //!   construction per evaluation) rides on the heavy extensions.
 //!
+//! The representation cells run on each chain's *asymmetric twin*: P0
+//! also holds an `order` relation, read by no rule, with a successor
+//! chain over the tokens and over the private rows. It makes every value
+//! distinguishable, so the symmetry reduction (DESIGN.md §3.16) finds no
+//! class and these cells measure the representation on the full,
+//! state-heavy search (133,246 states for `e8_nested_chain_seq`).
+//!
 //! After the timing groups (run at reduced scale so the harness stays
 //! fast), the acceptance pass measures every workload at full scale under
 //! both representations, asserts the legacy-oracle differential on every
 //! cell (equal verdict and `states_visited` — the bench *fails* rather
 //! than skipping the oracle), asserts the aggregate `total_ns` speedup
 //! bar (≥5× at full scale, ≥2× in the `DDWS_BENCH_SMOKE=1` CI
-//! configuration), measures how much a truncated run's checkpoint
-//! shrinks, and writes the phase-by-phase before/after to
-//! `BENCH_E13.json` at the workspace root.
+//! configuration), and measures how much a truncated run's checkpoint
+//! shrinks. The symmetric cells then check each chain as it stands,
+//! where the tokens and the private rows form two classes, against its
+//! twin under the compact representation: verdicts must agree and the
+//! reduced search must visit fewer states. `BENCH_E13.json` at the
+//! workspace root records both before/afters phase by phase, with the
+//! host's core count, the mode and the sample count.
 
 use ddws_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ddws_model::{Composition, CompositionBuilder, QueueKind, Semantics};
@@ -98,8 +109,10 @@ fn workloads(smoke: bool) -> Vec<Workload> {
 /// arity-2 accumulator `seen2` and ships the whole extension downstream
 /// (again nested), P2 records what arrived. With `ring ≥ 2`, P1 also
 /// carries a phase rotor and a `mark` audit rule reading `seen2`, giving
-/// the rule-dense E10 shape on top of the heavy extensions.
-fn state_heavy(m: usize, ring: usize) -> (Composition, Instance, String) {
+/// the rule-dense E10 shape on top of the heavy extensions. With `twin`,
+/// P0's unread `order` relation chains the tokens and the private rows,
+/// which breaks every value symmetry.
+fn state_heavy(m: usize, ring: usize, twin: bool) -> (Composition, Instance, String) {
     let mut b = CompositionBuilder::new();
     b.semantics(Semantics::default());
     b.default_lossy(true);
@@ -118,6 +131,9 @@ fn state_heavy(m: usize, ring: usize) -> (Composition, Instance, String) {
     b.peer("P2")
         .state("got", 2)
         .state_insert_rule("got", &["x", "y"], "?rep(x, y)");
+    if twin {
+        b.peer("P0").database("order", 2);
+    }
     if ring >= 2 {
         let all = (0..ring)
             .map(|i| format!("phase(\"r{i}\")"))
@@ -156,6 +172,16 @@ fn state_heavy(m: usize, ring: usize) -> (Composition, Instance, String) {
         let a = comp.symbols.intern(&format!("a{i}"));
         db.relation_mut(mine).insert(Tuple::new(vec![a]));
     }
+    if twin {
+        let order = comp.voc.lookup("P0.order").unwrap();
+        for prefix in ["t", "a"] {
+            for i in 1..m {
+                let from = comp.symbols.lookup(&format!("{prefix}{}", i - 1)).unwrap();
+                let to = comp.symbols.lookup(&format!("{prefix}{i}")).unwrap();
+                db.relation_mut(order).insert(Tuple::new(vec![from, to]));
+            }
+        }
+    }
     let prop = "G (forall x: P0.emit(x) -> P0.token(x))".to_string();
     (comp, db, prop)
 }
@@ -172,8 +198,9 @@ fn opts(db: Instance, w: &Workload, state_repr: StateRepr) -> VerifyOptions {
     }
 }
 
-fn check(w: &Workload, state_repr: StateRepr) -> Report {
-    let (comp, db, prop) = state_heavy(w.m, w.ring);
+/// Checks a workload on its asymmetric twin (`twin`) or as it stands.
+fn check(w: &Workload, state_repr: StateRepr, twin: bool) -> Report {
+    let (comp, db, prop) = state_heavy(w.m, w.ring, twin);
     let mut v = Verifier::new(comp);
     let report = v.check_str(&prop, &opts(db, w, state_repr)).unwrap();
     assert!(report.outcome.holds(), "{} must hold", w.name);
@@ -192,7 +219,7 @@ fn bench(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(w.name, repr_name),
                 &state_repr,
-                |b, &state_repr| b.iter(|| check(&w, state_repr).stats.states_visited),
+                |b, &state_repr| b.iter(|| check(&w, state_repr, true).stats.states_visited),
             );
         }
     }
@@ -208,12 +235,12 @@ struct Cell {
     report: Report,
 }
 
-fn measure(w: &Workload, state_repr: StateRepr, samples: usize) -> Cell {
+fn measure(w: &Workload, state_repr: StateRepr, twin: bool, samples: usize) -> Cell {
     let mut ns: Vec<u128> = Vec::with_capacity(samples);
     let mut last = None;
     for _ in 0..samples {
         let start = Instant::now();
-        let report = check(w, state_repr);
+        let report = check(w, state_repr, twin);
         ns.push(start.elapsed().as_nanos());
         last = Some(report);
     }
@@ -227,10 +254,18 @@ fn measure(w: &Workload, state_repr: StateRepr, samples: usize) -> Cell {
 fn phase_json(cell: &Cell) -> String {
     let s = &cell.report.stats;
     format!(
-        "{{\n        \"median_ns\": {},\n        \"boot_ns\": {},\n        \
+        "{{\n        \"median_ns\": {},\n        \"states_visited\": {},\n        \
+         \"symmetry_merges\": {},\n        \"boot_ns\": {},\n        \
          \"successor_ns\": {},\n        \"rule_eval_ns\": {},\n        \
          \"lasso_ns\": {},\n        \"intern_calls\": {}\n      }}",
-        cell.median_ns, s.boot_ns, s.successor_ns, s.rule_eval_ns, s.lasso_ns, s.intern_calls
+        cell.median_ns,
+        s.states_visited,
+        s.symmetry_merges,
+        s.boot_ns,
+        s.successor_ns,
+        s.rule_eval_ns,
+        s.lasso_ns,
+        s.intern_calls
     )
 }
 
@@ -251,9 +286,10 @@ fn acceptance() {
     let mut total_compact: u128 = 0;
     let mut total_legacy: u128 = 0;
     let mut bench_report: Option<RunReport> = None;
+    let mut unreduced: Vec<Cell> = Vec::new();
     for w in workloads(smoke) {
-        let compact = measure(&w, StateRepr::Compact, samples);
-        let legacy = measure(&w, StateRepr::Legacy, samples);
+        let compact = measure(&w, StateRepr::Compact, true, samples);
+        let legacy = measure(&w, StateRepr::Legacy, true, samples);
         // The legacy-oracle differential cell: both representations must
         // agree exactly on the verdict and the explored graph. Every
         // suite cell holds and runs either sequentially or under the
@@ -300,7 +336,8 @@ fn acceptance() {
             phase_json(&compact),
             phase_json(&legacy),
         ));
-        bench_report.get_or_insert(compact.report.telemetry);
+        bench_report.get_or_insert(compact.report.telemetry.clone());
+        unreduced.push(compact);
     }
 
     let total_speedup = total_legacy as f64 / total_compact.max(1) as f64;
@@ -315,6 +352,49 @@ fn acceptance() {
          ({total_compact}ns vs {total_legacy}ns)"
     );
 
+    // Symmetry reduction: each chain as it stands (tokens and private
+    // rows interchangeable) against its twin, both compact.
+    let mut sym_rows = Vec::new();
+    let (mut total_reduced, mut total_unreduced) = (0u128, 0u128);
+    for (w, twin) in workloads(smoke).iter().zip(&unreduced) {
+        let reduced = measure(w, StateRepr::Compact, false, samples);
+        let (r, t) = (&reduced.report.stats, &twin.report.stats);
+        assert_eq!(
+            reduced.report.outcome.holds(),
+            twin.report.outcome.holds(),
+            "{}: the symmetry-reduced verdict diverges from the twin's",
+            w.name
+        );
+        assert!(
+            r.states_visited < t.states_visited && r.symmetry_merges > 0,
+            "{}: the reduction merged nothing ({} vs {} states)",
+            w.name,
+            r.states_visited,
+            t.states_visited
+        );
+        let speedup = twin.median_ns as f64 / reduced.median_ns.max(1) as f64;
+        let states_ratio = t.states_visited as f64 / r.states_visited.max(1) as f64;
+        println!(
+            "e13_state_repr/symmetry/{}: reduced={}ns unreduced={}ns speedup={speedup:.2}x \
+             states {} vs {} ({states_ratio:.1}x)",
+            w.name, reduced.median_ns, twin.median_ns, r.states_visited, t.states_visited
+        );
+        total_reduced += reduced.median_ns;
+        total_unreduced += twin.median_ns;
+        sym_rows.push(format!(
+            "    \"{}\": {{\n      \"states_ratio\": {states_ratio:.1},\n      \
+             \"reduced\": {},\n      \"unreduced\": {},\n      \"speedup\": {speedup:.2}\n    }}",
+            w.name,
+            phase_json(&reduced),
+            phase_json(twin),
+        ));
+    }
+    let sym_speedup = total_unreduced as f64 / total_reduced.max(1) as f64;
+    println!(
+        "e13_state_repr/symmetry/total: reduced={total_reduced}ns \
+         unreduced={total_unreduced}ns speedup={sym_speedup:.2}x"
+    );
+
     // Checkpoint shrink: truncate the same search under both
     // representations at the same state budget and compare what the
     // frozen state store retains — the payload a scale-out frontier
@@ -323,7 +403,7 @@ fn acceptance() {
     let ck_w = cell("checkpoint", ck_m, 0, None, Reduction::Full);
     let mut ck_bytes = [0usize; 2];
     for (i, (_, state_repr)) in REPRS.iter().enumerate() {
-        let (comp, db, prop) = state_heavy(ck_w.m, ck_w.ring);
+        let (comp, db, prop) = state_heavy(ck_w.m, ck_w.ring, true);
         let mut v = Verifier::new(comp);
         let o = VerifyOptions {
             max_states: ck_budget,
@@ -359,16 +439,21 @@ fn acceptance() {
     let parsed = ddws_telemetry::Json::parse(&report_json).expect("bench report JSON parses");
     validate_run_report(&parsed).expect("bench report validates against the schema");
 
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
-        "{{\n  \"experiment\": \"e13_state_repr\",\n  \"mode\": \"{}\",\n  \
+        "{{\n  \"experiment\": \"e13_state_repr\",\n  \"cores\": {cores},\n  \"mode\": \"{}\",\n  \
          \"samples\": {samples},\n  \"speedup_bar\": {bar:.1},\n  \"workloads\": {{\n{}\n  }},\n  \
          \"total\": {{\n    \"compact_median_ns\": {total_compact},\n    \
          \"legacy_median_ns\": {total_legacy},\n    \"speedup\": {total_speedup:.2}\n  }},\n  \
+         \"symmetry\": {{\n{}\n  }},\n  \
+         \"symmetry_total\": {{\n    \"reduced_median_ns\": {total_reduced},\n    \
+         \"unreduced_median_ns\": {total_unreduced},\n    \"speedup\": {sym_speedup:.2}\n  }},\n  \
          \"checkpoint\": {{\n    \"truncated_at_states\": {ck_budget},\n    \
          \"compact_bytes\": {ck_compact},\n    \"legacy_bytes\": {ck_legacy},\n    \
          \"shrink\": {shrink:.2}\n  }},\n  \"run_report\": {report_json}\n}}\n",
         if smoke { "smoke" } else { "full" },
-        rows.join(",\n")
+        rows.join(",\n"),
+        sym_rows.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_E13.json");
     std::fs::write(path, json).expect("write BENCH_E13.json");

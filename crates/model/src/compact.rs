@@ -31,6 +31,7 @@
 //! pair and caches the environment's message alphabet per channel, so it
 //! must not be reused across domains.
 
+use crate::canon::{self, queue_key, Part, ValueClasses, ValuePerm};
 use crate::composition::{ChannelRole, Composition, Mover, Peer, PeerId, QueueKind};
 use crate::config::{Config, Message};
 use crate::plan::{EvalCtx, RuleRef};
@@ -91,6 +92,15 @@ impl CompactConfig {
             + self.queues.len() * 4
             + self.flags.len() * 8
     }
+}
+
+/// Where a canonical-form part's handle lives in a [`CompactConfig`].
+#[derive(Clone, Copy)]
+enum HandleAt {
+    /// `rels[slot]`.
+    Rel(usize),
+    /// `queues[i]`.
+    Queue(usize),
 }
 
 /// The per-search intern pool: encodings, hash-cons tables and the
@@ -387,6 +397,105 @@ impl StatePool {
         } else {
             cc.flags[bit / 64] &= !(1u64 << (bit % 64));
         }
+    }
+
+    // --- Symmetry: canonical forms (see `canon`) ------------------------
+
+    /// The rows of handle `h`, in order, flattened into one buffer, with
+    /// their arity.
+    fn handle_flat(&self, enc: Enc, h: u32) -> (usize, Vec<Value>) {
+        match enc {
+            Enc::Packed(spec) => {
+                let codes = self.packed.resolve(h);
+                let arity = spec.arity() as usize;
+                let mut rows = Vec::with_capacity(codes.len() * arity);
+                for &code in codes.iter() {
+                    spec.unpack_into(code, &mut rows);
+                }
+                (arity, rows)
+            }
+            Enc::Wide => {
+                let rel = self.wide.resolve(h);
+                let arity = rel.iter().next().map_or(0, Tuple::arity);
+                let rows = rel.iter().flat_map(|t| t.values().iter().copied());
+                (arity, rows.collect())
+            }
+        }
+    }
+
+    /// Interns rows flattened into one buffer (any order; `arity > 0`).
+    fn intern_flat(&self, enc: Enc, arity: usize, rows: &[Value]) -> u32 {
+        match enc {
+            Enc::Packed(spec) => {
+                let codes = spec
+                    .pack_all(rows.chunks(arity))
+                    .expect("renamed rows pack over the closed domain");
+                self.packed.intern(codes.into_boxed_slice())
+            }
+            Enc::Wide => self
+                .wide
+                .intern(Relation::from_tuples(rows.chunks(arity).map(Tuple::from))),
+        }
+    }
+
+    /// The class-bearing content of `cc`, in the same key order and row
+    /// order [`Config`]'s extraction uses, each part with the handle it
+    /// came from.
+    fn parts(&self, cc: &CompactConfig, classes: &ValueClasses) -> (Vec<Part>, Vec<HandleAt>) {
+        let mut parts = Vec::new();
+        let mut at = Vec::new();
+        let mut visit = |enc: Enc, h: u32, key: u32, loc: HandleAt| {
+            if self.handle_is_empty(enc, h) {
+                return;
+            }
+            let (arity, rows) = self.handle_flat(enc, h);
+            if let Some(part) = Part::new(classes, key, arity, rows) {
+                parts.push(part);
+                at.push(loc);
+            }
+        };
+        for (slot, &enc) in self.slots.iter().enumerate() {
+            visit(enc, cc.rels[slot], slot as u32, HandleAt::Rel(slot));
+        }
+        for c in 0..self.n_channels {
+            for pos in 0..self.queue_bound {
+                let i = c * self.queue_bound + pos;
+                if cc.queues[i] == NONE {
+                    break;
+                }
+                visit(
+                    self.chans[c],
+                    cc.queues[i],
+                    queue_key(c, pos),
+                    HandleAt::Queue(i),
+                );
+            }
+        }
+        (parts, at)
+    }
+
+    /// The orbit representative of `cc` under `classes`, with the
+    /// permutation mapping `cc` onto it — the same representative
+    /// [`Config::canonical`] picks for the expanded configuration. Only
+    /// the handles holding class values are renamed and re-interned.
+    pub fn canonical(
+        &self,
+        cc: &CompactConfig,
+        classes: &ValueClasses,
+    ) -> (CompactConfig, ValuePerm) {
+        let (parts, at) = self.parts(cc, classes);
+        let perm = canon::choose(classes, &parts);
+        let mut out = cc.clone();
+        if !perm.is_identity() {
+            for (part, at) in parts.iter().zip(at) {
+                let (enc, handle) = match at {
+                    HandleAt::Rel(slot) => (self.slots[slot], &mut out.rels[slot]),
+                    HandleAt::Queue(i) => (self.chans[i / self.queue_bound], &mut out.queues[i]),
+                };
+                *handle = self.intern_flat(enc, part.arity(), &part.renamed(&perm));
+            }
+        }
+        (out, perm)
     }
 
     // --- Conversion to and from the legacy representation -------------

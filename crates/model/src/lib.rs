@@ -17,6 +17,8 @@
 //!   vocabulary (`O.customer`, `O.?apply`, `A.!apply`, `move_O`,
 //!   `received_apply`, …) over which properties are written;
 //! * [`Config`] — a configuration: dynamic relations plus queue contents;
+//! * [`ValueClasses`] and the canonical forms of both configuration
+//!   representations under them (symmetry reduction, [`canon`]);
 //! * successor generation ([`Composition::successors`]) implementing
 //!   Definition 2.4's snapshot semantics with every channel flavour the
 //!   paper studies: flat/nested, lossy/perfect, k-bounded, deterministic
@@ -27,6 +29,7 @@
 
 #![warn(missing_docs)]
 pub mod builder;
+pub mod canon;
 pub mod compact;
 pub mod composition;
 pub mod config;
@@ -36,6 +39,7 @@ pub mod step;
 pub mod view;
 
 pub use builder::{BuildError, CompositionBuilder, PeerBuilder};
+pub use canon::{ValueClasses, ValuePerm};
 pub use compact::{CompactConfig, CompactView, StatePool};
 pub use composition::{
     Channel, ChannelId, ChannelRole, Composition, Endpoint, Mover, Peer, PeerId, QueueKind,

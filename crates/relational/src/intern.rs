@@ -86,14 +86,23 @@ impl PackSpec {
 
     /// Unpacks a code back into its tuple (the inverse of [`PackSpec::pack`]).
     pub fn unpack(&self, code: u64) -> Vec<Value> {
-        let mut out = vec![Value(0); self.arity as usize];
+        let mut out = Vec::with_capacity(self.arity as usize);
+        self.unpack_into(code, &mut out);
+        out
+    }
+
+    /// Appends the tuple of `code` to `out` ([`PackSpec::unpack`] without
+    /// the allocation).
+    pub fn unpack_into(&self, code: u64, out: &mut Vec<Value>) {
+        let start = out.len();
+        out.resize(start + self.arity as usize, Value(0));
         let mask = if self.bits >= 64 {
             u64::MAX
         } else {
             (1u64 << self.bits) - 1
         };
         let mut rest = code;
-        for slot in out.iter_mut().rev() {
+        for slot in out[start..].iter_mut().rev() {
             *slot = Value((rest & mask) as u32);
             rest = if self.bits >= 64 {
                 0
@@ -101,7 +110,6 @@ impl PackSpec {
                 rest >> self.bits
             };
         }
-        out
     }
 
     /// Packs a sorted, duplicate-free iterator of tuples into a sorted code

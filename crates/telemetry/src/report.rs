@@ -26,9 +26,13 @@
 //! finished (0 for direct, unserved runs). v5 adds the
 //! `valuations_vacuous` counter: universal-closure valuations the
 //! column-domain analysis decided before any search (deterministic, so
-//! redaction keeps it). [`RunReport::from_json`] still accepts v1–v4
+//! redaction keeps it). v6 adds the `symmetry_merges` counter: successor
+//! configurations the symmetry reduction replaced by a different orbit
+//! representative (a pure function of the input on `holds` runs, so
+//! redaction keeps it). [`RunReport::from_json`] still accepts v1–v5
 //! documents (their `abort` / NBA counters / `crash_recoveries` /
-//! `valuations_vacuous` default to `None` / 0 / 0 / 0).
+//! `valuations_vacuous` / `symmetry_merges` default to `None` / 0 / 0 /
+//! 0 / 0).
 
 use crate::control::AbortReason;
 use crate::json::Json;
@@ -37,7 +41,7 @@ use crate::stats::SearchStats;
 /// The schema identifier every run report carries.
 pub const SCHEMA_NAME: &str = "ddws.run-report";
 /// The current schema version (frozen field set; bump on change).
-pub const SCHEMA_VERSION: u64 = 5;
+pub const SCHEMA_VERSION: u64 = 6;
 /// The oldest schema version [`RunReport::from_json`] still accepts.
 pub const MIN_SCHEMA_VERSION: u64 = 1;
 
@@ -77,6 +81,10 @@ pub struct Counters {
     /// because their negated property folds to `false` (schema v5; 0 when
     /// parsed from older documents).
     pub valuations_vacuous: u64,
+    /// Successor configurations the symmetry reduction replaced by a
+    /// different orbit representative (schema v6; 0 when parsed from
+    /// older documents).
+    pub symmetry_merges: u64,
     /// Whether any contributing search aborted on its state budget.
     pub truncated: bool,
 }
@@ -97,6 +105,7 @@ impl Counters {
             nba_cache_misses: stats.nba_cache_misses,
             crash_recoveries: 0,
             valuations_vacuous: stats.valuations_vacuous,
+            symmetry_merges: stats.symmetry_merges,
             truncated: stats.truncated,
         }
     }
@@ -262,6 +271,7 @@ impl RunReport {
                         "valuations_vacuous".into(),
                         Json::UInt(c.valuations_vacuous),
                     ),
+                    ("symmetry_merges".into(), Json::UInt(c.symmetry_merges)),
                     ("truncated".into(), Json::Bool(c.truncated)),
                 ]),
             ),
@@ -338,6 +348,8 @@ impl RunReport {
                     .get("valuations_vacuous")
                     .and_then(Json::as_u64)
                     .unwrap_or(0),
+                // v1–v5 documents predate the symmetry counter.
+                symmetry_merges: c.get("symmetry_merges").and_then(Json::as_u64).unwrap_or(0),
                 truncated: c.get("truncated").and_then(Json::as_bool).unwrap(),
             },
             phases: PhaseTimes {
@@ -487,6 +499,14 @@ pub fn validate_run_report(v: &Json) -> Result<(), String> {
     {
         return Err("missing or non-integer counter `valuations_vacuous`".into());
     }
+    if version >= 6
+        && counters
+            .get("symmetry_merges")
+            .and_then(Json::as_u64)
+            .is_none()
+    {
+        return Err("missing or non-integer counter `symmetry_merges`".into());
+    }
     if counters.get("truncated").and_then(Json::as_bool).is_none() {
         return Err("missing or non-bool counter `truncated`".into());
     }
@@ -537,6 +557,7 @@ mod tests {
                 nba_cache_misses: 1,
                 crash_recoveries: 3,
                 valuations_vacuous: 4,
+                symmetry_merges: 5,
                 truncated: false,
             },
             phases: PhaseTimes {
@@ -580,7 +601,7 @@ mod tests {
         assert!(validate_run_report(&r.to_json_value()).is_ok());
         let bad_schema = r.to_json().replace("ddws.run-report", "other.schema");
         assert!(RunReport::from_json(&bad_schema).is_err());
-        let bad_version = r.to_json().replace("\"version\":5", "\"version\":99");
+        let bad_version = r.to_json().replace("\"version\":6", "\"version\":99");
         assert!(RunReport::from_json(&bad_version).is_err());
         let bad_outcome = r.to_json().replace("\"holds\"", "\"maybe\"");
         assert!(RunReport::from_json(&bad_outcome).is_err());
@@ -624,7 +645,7 @@ mod tests {
         // A v1 report: version 1, no abort object, v1 outcome vocabulary.
         let v1 = sample()
             .to_json()
-            .replace("\"version\":5", "\"version\":1")
+            .replace("\"version\":6", "\"version\":1")
             .replace("\"holds\"", "\"budget_exceeded\"");
         let decoded = RunReport::from_json(&v1).unwrap();
         assert_eq!(decoded.outcome, "budget_exceeded");
@@ -632,13 +653,13 @@ mod tests {
         // The v2-only outcome vocabulary is rejected under version 1...
         let v1_new_outcome = sample()
             .to_json()
-            .replace("\"version\":5", "\"version\":1")
+            .replace("\"version\":6", "\"version\":1")
             .replace("\"holds\"", "\"cancelled\"");
         assert!(RunReport::from_json(&v1_new_outcome).is_err());
         // ...and so is a v1 document carrying an abort object.
         let v1_with_abort = aborted_sample()
             .to_json()
-            .replace("\"version\":5", "\"version\":1");
+            .replace("\"version\":6", "\"version\":1");
         assert!(RunReport::from_json(&v1_with_abort).is_err());
     }
 
@@ -647,10 +668,11 @@ mod tests {
         // A v2 report: version 2, abort object allowed, no NBA counters.
         let v2 = aborted_sample()
             .to_json()
-            .replace("\"version\":5", "\"version\":2")
+            .replace("\"version\":6", "\"version\":2")
             .replace("\"nba_cache_hits\":2,\"nba_cache_misses\":1,", "")
             .replace("\"crash_recoveries\":3,", "")
-            .replace("\"valuations_vacuous\":4,", "");
+            .replace("\"valuations_vacuous\":4,", "")
+            .replace("\"symmetry_merges\":5,", "");
         let decoded = RunReport::from_json(&v2).unwrap();
         assert_eq!(decoded.outcome, "budget_exceeded");
         assert!(decoded.abort.is_some());
@@ -668,18 +690,20 @@ mod tests {
         // A v3 report: NBA counters present, no `crash_recoveries`.
         let v3 = aborted_sample()
             .to_json()
-            .replace("\"version\":5", "\"version\":3")
+            .replace("\"version\":6", "\"version\":3")
             .replace("\"crash_recoveries\":3,", "")
-            .replace("\"valuations_vacuous\":4,", "");
+            .replace("\"valuations_vacuous\":4,", "")
+            .replace("\"symmetry_merges\":5,", "");
         let decoded = RunReport::from_json(&v3).unwrap();
         assert_eq!(decoded.counters.crash_recoveries, 0);
         assert_eq!(decoded.counters.nba_cache_hits, 2);
         // A v4 document missing the supervisor counter is rejected.
         let v4_missing = aborted_sample()
             .to_json()
-            .replace("\"version\":5", "\"version\":4")
+            .replace("\"version\":6", "\"version\":4")
             .replace("\"crash_recoveries\":3,", "")
-            .replace("\"valuations_vacuous\":4,", "");
+            .replace("\"valuations_vacuous\":4,", "")
+            .replace("\"symmetry_merges\":5,", "");
         assert!(RunReport::from_json(&v4_missing).is_err());
     }
 
@@ -688,16 +712,37 @@ mod tests {
         // A v4 report: supervisor counter present, no `valuations_vacuous`.
         let v4 = aborted_sample()
             .to_json()
-            .replace("\"version\":5", "\"version\":4")
-            .replace("\"valuations_vacuous\":4,", "");
+            .replace("\"version\":6", "\"version\":4")
+            .replace("\"valuations_vacuous\":4,", "")
+            .replace("\"symmetry_merges\":5,", "");
         let decoded = RunReport::from_json(&v4).unwrap();
         assert_eq!(decoded.counters.valuations_vacuous, 0);
         assert_eq!(decoded.counters.crash_recoveries, 3);
         // A v5 document missing the vacuous-valuation counter is rejected.
         let v5_missing = aborted_sample()
             .to_json()
-            .replace("\"valuations_vacuous\":4,", "");
+            .replace("\"version\":6", "\"version\":5")
+            .replace("\"valuations_vacuous\":4,", "")
+            .replace("\"symmetry_merges\":5,", "");
         assert!(RunReport::from_json(&v5_missing).is_err());
+    }
+
+    #[test]
+    fn v5_documents_are_still_accepted() {
+        // A v5 report: vacuous-valuation counter present, no
+        // `symmetry_merges`.
+        let v5 = aborted_sample()
+            .to_json()
+            .replace("\"version\":6", "\"version\":5")
+            .replace("\"symmetry_merges\":5,", "");
+        let decoded = RunReport::from_json(&v5).unwrap();
+        assert_eq!(decoded.counters.symmetry_merges, 0);
+        assert_eq!(decoded.counters.valuations_vacuous, 4);
+        // A v6 document missing the symmetry counter is rejected.
+        let v6_missing = aborted_sample()
+            .to_json()
+            .replace("\"symmetry_merges\":5,", "");
+        assert!(RunReport::from_json(&v6_missing).is_err());
     }
 
     #[test]
@@ -720,6 +765,8 @@ mod tests {
         // and the vacuous-valuation count is a pure function of the input.
         assert_eq!(red.counters.crash_recoveries, 3);
         assert_eq!(red.counters.valuations_vacuous, 4);
+        // So is the symmetry merge count on `holds` runs.
+        assert_eq!(red.counters.symmetry_merges, 5);
         // For aborted runs, `spent` is timing/schedule-dependent too.
         let mut r = aborted_sample();
         let red = r.redacted();

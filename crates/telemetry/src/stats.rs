@@ -72,6 +72,10 @@ pub struct SearchStats {
     /// `false` (DESIGN.md §3.13.1). They are still counted in the run's
     /// `valuations_checked`; they contribute no states.
     pub valuations_vacuous: u64,
+    /// Successor configurations the symmetry reduction replaced by a
+    /// different orbit representative (DESIGN.md §3.16), each distinct raw
+    /// configuration counted once per search.
+    pub symmetry_merges: u64,
     /// Nanoseconds spent evaluating rules (inside boot + successor spans).
     pub rule_eval_ns: u64,
     /// Nanoseconds spent enumerating initial (boot) configurations.
@@ -107,6 +111,7 @@ impl SearchStats {
         self.nba_cache_hits += other.nba_cache_hits;
         self.nba_cache_misses += other.nba_cache_misses;
         self.valuations_vacuous += other.valuations_vacuous;
+        self.symmetry_merges += other.symmetry_merges;
         self.rule_eval_ns += other.rule_eval_ns;
         self.boot_ns += other.boot_ns;
         self.successor_ns += other.successor_ns;
@@ -136,6 +141,7 @@ mod tests {
             nba_cache_hits: 16,
             nba_cache_misses: 17,
             valuations_vacuous: 18,
+            symmetry_merges: 19,
             rule_eval_ns: 9,
             boot_ns: 10,
             successor_ns: 11,
@@ -157,6 +163,7 @@ mod tests {
             nba_cache_hits: 1600,
             nba_cache_misses: 1700,
             valuations_vacuous: 1800,
+            symmetry_merges: 1900,
             rule_eval_ns: 900,
             boot_ns: 1000,
             successor_ns: 1100,
@@ -181,6 +188,7 @@ mod tests {
                 nba_cache_hits: 1616,
                 nba_cache_misses: 1717,
                 valuations_vacuous: 1818,
+                symmetry_merges: 1919,
                 rule_eval_ns: 909,
                 boot_ns: 1010,
                 successor_ns: 1111,

@@ -35,7 +35,9 @@
 //! * [`reduction`] — the composition → single-peer-with-lookback reduction
 //!   behind the proof of Theorem 3.4, testable for verdict equivalence;
 //! * [`relevance`] — the static column-domain analysis that decides
-//!   vacuous universal-closure valuations before any search.
+//!   vacuous universal-closure valuations before any search;
+//! * [`symmetry`] — symmetry reduction under fixed-database
+//!   automorphisms: one configuration per orbit of interchangeable values.
 
 #![warn(missing_docs)]
 pub mod counterexample;
@@ -49,6 +51,7 @@ pub mod protocols;
 pub mod reduction;
 pub mod relevance;
 mod scheduler;
+pub mod symmetry;
 mod telemetry;
 pub mod verify;
 

@@ -43,8 +43,22 @@ pub fn search_product(
     limits: &SearchLimits,
     tel: &EngineTelemetry<'_>,
 ) -> LimitedResult<PState> {
-    match opts.threads {
+    let result = match opts.threads {
         None => find_accepting_lasso_limits_with(system, limits, tel),
         Some(n) => find_accepting_lasso_limits_parallel_with(system, limits, n, tel),
-    }
+    };
+    with_symmetry_merges(system, result)
+}
+
+/// Books the system's `symmetry_merges` into a finished search's stats.
+pub(crate) fn with_symmetry_merges(
+    system: &ProductSystem<'_>,
+    mut result: LimitedResult<PState>,
+) -> LimitedResult<PState> {
+    let stats = match &mut result {
+        Ok((_, stats)) => stats,
+        Err(stop) => &mut stop.stats,
+    };
+    stats.symmetry_merges += system.symmetry_merges();
+    result
 }

@@ -14,6 +14,12 @@
 //! lasso of this system is exactly a counterexample run over the database
 //! its oracle describes.
 //!
+//! Under a fixed database with interchangeable values, every configuration
+//! a boot or step edge reaches is replaced by its orbit representative
+//! ([`crate::symmetry`]): the system is then the quotient under those
+//! value permutations, and its lassos are lifted back before they are
+//! reported.
+//!
 //! All caches are sharded behind `RwLock`s so one `ProductSystem` can be
 //! expanded from many worker threads at once (see
 //! [`parallel`](crate::parallel)). Cached values are pure functions of
@@ -26,7 +32,7 @@ use crate::oracle::{FactUniverse, Oracle, RecordingDb};
 use ddws_automata::{Expansion, Nba, TransitionSystem};
 use ddws_model::{
     CompactConfig, CompactView, CompiledRules, Composition, Config, EvalCtx, IndependenceOracle,
-    Mover, RuleCache, StatePool,
+    Mover, RuleCache, StatePool, ValueClasses, ValuePerm,
 };
 use ddws_relational::{Instance, Interner as MeteredInterner, Value};
 use ddws_telemetry::{RuleMeterSource, SearchStats};
@@ -178,6 +184,20 @@ impl<K: Hash + Eq, V: Clone> ShardedMap<K, V> {
             .write()
             .expect("cache shard poisoned")
             .insert(key, value);
+    }
+
+    /// Inserts unless the key is present; whether this call inserted.
+    fn insert_new(&self, key: K, value: V) -> bool {
+        let mut shard = self.shards[shard_of(&key)]
+            .write()
+            .expect("cache shard poisoned");
+        match shard.entry(key) {
+            std::collections::hash_map::Entry::Occupied(_) => false,
+            std::collections::hash_map::Entry::Vacant(slot) => {
+                slot.insert(value);
+                true
+            }
+        }
     }
 }
 
@@ -361,6 +381,17 @@ impl RuleMeterSource for SharedSearch {
     }
 }
 
+/// The symmetry reduction of one product system: its value classes and
+/// the memo from raw configuration ids to representative ids. The memo is
+/// per system because the classes depend on the valuation's atoms; the
+/// step cache in [`SharedSearch`] keeps raw ids and stays shared.
+struct Symmetry {
+    classes: ValueClasses,
+    reps: ShardedMap<u32, u32>,
+    /// Memo entries whose representative differs from the raw id.
+    merges: AtomicU64,
+}
+
 /// The product system.
 pub struct ProductSystem<'a> {
     /// The composition under verification.
@@ -385,10 +416,14 @@ pub struct ProductSystem<'a> {
     /// Memoized reduced expansions (separate from `succ_cache`: the C3
     /// fallback needs the *full* expansion of the same state).
     ample_cache: ShardedMap<PState, (Arc<[PState]>, bool)>,
+    /// Symmetry reduction; `None` when no two values are interchangeable.
+    symmetry: Option<Symmetry>,
 }
 
 impl<'a> ProductSystem<'a> {
-    /// Builds the product system.
+    /// Builds the product system, with the symmetry reduction on whenever
+    /// the database is fixed and some values are interchangeable
+    /// ([`crate::symmetry`]).
     pub fn new(
         comp: &'a Composition,
         base_db: &'a Instance,
@@ -409,7 +444,99 @@ impl<'a> ProductSystem<'a> {
             succ_cache: ShardedMap::default(),
             reduction: None,
             ample_cache: ShardedMap::default(),
+            symmetry: crate::symmetry::product_classes(comp, base_db, universe, domain, atoms).map(
+                |classes| Symmetry {
+                    classes,
+                    reps: ShardedMap::default(),
+                    merges: AtomicU64::new(0),
+                },
+            ),
         }
+    }
+
+    /// The interchangeable-value classes the search reduces under, if any.
+    pub fn value_classes(&self) -> Option<&ValueClasses> {
+        self.symmetry.as_ref().map(|s| &s.classes)
+    }
+
+    /// Raw successor configurations this system replaced by a different
+    /// orbit representative so far (each distinct one counted once).
+    pub fn symmetry_merges(&self) -> u64 {
+        self.symmetry
+            .as_ref()
+            .map_or(0, |s| s.merges.load(Ordering::Relaxed))
+    }
+
+    /// The representative of interned configuration `raw` under `classes`,
+    /// interned, with the permutation mapping `raw` onto it.
+    fn canonical_form(&self, raw: u32, classes: &ValueClasses) -> (u32, ValuePerm) {
+        match &self.shared.compact {
+            Some(space) => {
+                let (rep, perm) = space.pool.canonical(&space.configs.resolve(raw), classes);
+                let id = if perm.is_identity() {
+                    raw
+                } else {
+                    space.configs.intern(rep)
+                };
+                (id, perm)
+            }
+            None => {
+                let (rep, perm) = self.shared.configs.get(raw).canonical(classes);
+                let id = if perm.is_identity() {
+                    raw
+                } else {
+                    self.intern_config(rep)
+                };
+                (id, perm)
+            }
+        }
+    }
+
+    /// The orbit representative of a raw successor configuration
+    /// (memoized).
+    fn representative(&self, sym: &Symmetry, raw: u32) -> u32 {
+        if let Some(rep) = sym.reps.get(&raw) {
+            return rep;
+        }
+        let (rep, _) = self.canonical_form(raw, &sym.classes);
+        if sym.reps.insert_new(raw, rep) && rep != raw {
+            sym.merges.fetch_add(1, Ordering::Relaxed);
+        }
+        rep
+    }
+
+    /// Maps raw successor ids to representatives, dropping duplicates;
+    /// `raw` itself when the reduction is off.
+    fn representatives(&self, raw: Arc<[u32]>) -> Arc<[u32]> {
+        let Some(sym) = &self.symmetry else {
+            return raw;
+        };
+        let mut out: Vec<u32> = Vec::with_capacity(raw.len());
+        for &r in raw.iter() {
+            let rep = self.representative(sym, r);
+            if !out.contains(&rep) {
+                out.push(rep);
+            }
+        }
+        out.into()
+    }
+
+    /// The permutation `π` behind one quotient step: `π·c = target` for
+    /// the first raw `mover`-successor `c` of `config` whose representative
+    /// is `target`. Counterexample lifting walks these.
+    pub(crate) fn quotient_step(
+        &self,
+        config: u32,
+        mover: Mover,
+        oracle: u32,
+        target: u32,
+    ) -> Option<ValuePerm> {
+        let sym = self.symmetry.as_ref()?;
+        let raw = self.step_configs(config, mover, oracle).ok()?;
+        let c = *raw
+            .iter()
+            .find(|&&c| self.representative(sym, c) == target)?;
+        Some(self.canonical_form(c, &sym.classes).1)
     }
 
     /// Activates the ample-set reduction: the engines route expansions
@@ -614,7 +741,7 @@ impl ProductSystem<'_> {
                 Err(fact) => (self.fork(*s, oracle, fact), false),
                 Ok(configs) => {
                     let mut out = Vec::new();
-                    for &cid in configs.iter() {
+                    for &cid in self.representatives(configs).iter() {
                         for mover in self.comp.movers() {
                             for &q in &self.nba.initial {
                                 out.push(PState::Run {
@@ -675,7 +802,7 @@ impl ProductSystem<'_> {
                 // 3. Composition step (cached across valuations).
                 let next_configs = match self.step_configs(config, mover, oracle) {
                     Err(fact) => return (self.fork(*s, oracle, fact), false),
-                    Ok(c) => c,
+                    Ok(c) => self.representatives(c),
                 };
 
                 let movers = self.comp.movers();

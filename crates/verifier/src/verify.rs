@@ -12,7 +12,7 @@ use ddws_logic::input_bounded::{check_input_bounded_sentence, IbOptions, IbViola
 use ddws_logic::parser::{parse_sentence, ParseError, Resolver};
 use ddws_logic::{LtlFo, LtlFoSentence, VarId};
 use ddws_model::builder::collect_constants;
-use ddws_model::{Composition, IndependenceOracle};
+use ddws_model::{Composition, IndependenceOracle, ValueClasses};
 use ddws_relational::{Instance, RelId, Value};
 use ddws_telemetry::{AbortReason, CancelToken, FaultHook, ReporterHandle, RunReport};
 use std::collections::{BTreeSet, HashMap};
@@ -539,6 +539,28 @@ impl Verifier {
         Ok(parse_sentence(src, &mut resolver)?)
     }
 
+    /// The interchangeable-value classes a check of `property` under
+    /// `opts` reduces its searches under (DESIGN.md §3.16): the domain
+    /// values no rule and no property constant names, grouped by whether
+    /// their transpositions map the fixed database onto itself. A
+    /// universal-closure valuation additionally pins the values it
+    /// assigns. Empty under [`DatabaseMode::AllDatabases`].
+    pub fn value_classes(
+        &mut self,
+        property: &LtlFoSentence,
+        opts: &VerifyOptions,
+    ) -> ValueClasses {
+        let DatabaseMode::Fixed(db) = &opts.database else {
+            return ValueClasses::default();
+        };
+        let domain = self.domain_for(property, opts);
+        let mut pinned = BTreeSet::new();
+        property
+            .body
+            .visit_fo(&mut |fo| collect_constants(fo, &mut pinned));
+        crate::symmetry::value_classes(&self.comp, db, &domain, pinned)
+    }
+
     /// Ensures the fresh pool holds at least `n` values and returns them.
     fn fresh(&mut self, n: usize) -> &[Value] {
         while self.fresh_pool.len() < n {
@@ -1037,7 +1059,10 @@ impl Verifier {
             let result = match resume {
                 // The interrupted valuation continues from its frozen
                 // frontier; the untouched tail runs fresh searches.
-                Some(engine) => resume_accepting_lasso_with(&system, engine, limits, &tel),
+                Some(engine) => crate::parallel::with_symmetry_merges(
+                    &system,
+                    resume_accepting_lasso_with(&system, engine, limits, &tel),
+                ),
                 None => crate::parallel::search_product(&system, &task_opts, limits, &tel),
             };
             match result {
@@ -1224,9 +1249,39 @@ pub(crate) fn build_counterexample(
         }
     }
 
-    // Elide fork steps: a state is a real snapshot iff the next state on the
-    // path has the same oracle (fork edges strictly grow it) — the last
-    // state before the cycle and all cycle states are always real.
+    let (steps, cycle_steps) = match system.value_classes() {
+        // A symmetry-reduced lasso runs over orbit representatives.
+        Some(_) => crate::symmetry::lift(system, &prefix, &cycle),
+        None => real_snapshots(system, &prefix, &cycle),
+    };
+    let frozen_rels: Vec<String> = comp
+        .voc
+        .iter()
+        .filter(|(rel, _)| comp.frozen[rel.index()])
+        .map(|(_, d)| d.name.clone())
+        .collect();
+    Counterexample {
+        database,
+        frozen_rels,
+        valuation: universal_vars
+            .iter()
+            .map(|v| (*v, *valuation.get(v).expect("valuation covers closure")))
+            .collect(),
+        prefix: steps,
+        cycle: cycle_steps,
+    }
+}
+
+/// The (prefix, cycle) snapshots of an unreduced product lasso, with fork
+/// (oracle-growth) pseudo-steps elided.
+fn real_snapshots(
+    system: &ProductSystem<'_>,
+    prefix: &[PState],
+    cycle: &[PState],
+) -> (Vec<RunStep>, Vec<RunStep>) {
+    // A state is a real snapshot iff the next state on the path has the
+    // same oracle (fork edges strictly grow it) — the last state before
+    // the cycle and all cycle states are always real.
     let oracle_of = |s: &PState| -> u32 {
         match s {
             PState::Boot { oracle } | PState::Run { oracle, .. } => *oracle,
@@ -1254,20 +1309,5 @@ pub(crate) fn build_counterexample(
         }
     }
     let cycle_steps = steps.split_off(cycle_start_in_steps);
-    let frozen_rels: Vec<String> = comp
-        .voc
-        .iter()
-        .filter(|(rel, _)| comp.frozen[rel.index()])
-        .map(|(_, d)| d.name.clone())
-        .collect();
-    Counterexample {
-        database,
-        frozen_rels,
-        valuation: universal_vars
-            .iter()
-            .map(|v| (*v, *valuation.get(v).expect("valuation covers closure")))
-            .collect(),
-        prefix: steps,
-        cycle: cycle_steps,
-    }
+    (steps, cycle_steps)
 }
