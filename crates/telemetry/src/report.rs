@@ -201,7 +201,7 @@ pub struct RunReport {
     pub outcome: String,
     /// The abort object; `Some` exactly when the outcome is an abort label.
     pub abort: Option<Abort>,
-    /// Universal valuations checked before the outcome was reached.
+    /// Size of the universal closure the run covered, on every outcome.
     pub valuations_checked: u64,
     /// Size of the verification domain.
     pub domain_size: u64,

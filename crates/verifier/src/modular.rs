@@ -28,19 +28,13 @@
 //! for universal-positive (and existential-negative) binders, and the
 //! checker rejects the others.
 
-use crate::ground::{canonical_valuations, ground_ltlfo, AtomRegistry};
-use crate::product::ProductSystem;
-use crate::verify::{
-    build_counterexample, Inconclusive, Outcome, Report, Verifier, VerifyError, VerifyOptions,
-};
-use ddws_automata::emptiness::SearchStats;
-use ddws_logic::input_bounded::check_input_bounded_sentence;
+use crate::ground::canonical_valuations;
+use crate::verify::{observed_relations, Goal, Report, Verifier, VerifyError, VerifyOptions};
+use ddws_logic::input_bounded::IbViolation;
 use ddws_logic::{Fo, LtlFo, LtlFoSentence, VarId};
 use ddws_model::Endpoint;
 use ddws_relational::{RelId, Value};
-use ddws_telemetry::AbortReason;
 use std::collections::{BTreeSet, HashMap};
-use std::time::Instant;
 
 /// The spec after translation: body plus the variables hoisted from
 /// quantifiers that had to scope over introduced temporal operators.
@@ -58,18 +52,6 @@ impl Verifier {
         env_spec: &LtlFoSentence,
         opts: &VerifyOptions,
     ) -> Result<Report, VerifyError> {
-        let saved = self.save_masks();
-        let result = self.check_modular_inner(property, env_spec, opts);
-        self.restore_masks(saved);
-        result
-    }
-
-    fn check_modular_inner(
-        &mut self,
-        property: &LtlFoSentence,
-        env_spec: &LtlFoSentence,
-        opts: &VerifyOptions,
-    ) -> Result<Report, VerifyError> {
         let mut meta = crate::telemetry::RunMeta::new("check_modular", opts);
         let comp = self.composition();
         if comp.is_closed() {
@@ -81,29 +63,17 @@ impl Verifier {
             .move_env_rel
             .expect("open compositions declare move_ENV");
 
-        if opts.require_input_bounded {
-            let mut violations = Vec::new();
-            if let Err(vs) = comp.check_input_bounded(opts.ib_options) {
-                violations.extend(vs);
-            }
-            if let Err(vs) = check_input_bounded_sentence(property, comp, opts.ib_options) {
-                violations.extend(vs);
-            }
-            if let Err(vs) = check_input_bounded_sentence(env_spec, comp, opts.ib_options) {
-                violations.extend(vs);
-            }
-            if !env_spec.is_strict() {
-                violations.push(ddws_logic::input_bounded::IbViolation {
-                    message: "environment spec must be strictly input-bounded: no temporal \
-                              operator in the scope of a quantifier, and no free variables \
-                              (Theorem 5.5)"
-                        .into(),
-                });
-            }
-            if !violations.is_empty() {
-                return Err(VerifyError::NotInputBounded(violations));
-            }
-        }
+        let strictness = (!env_spec.is_strict()).then(|| IbViolation {
+            message: "environment spec must be strictly input-bounded: no temporal operator in \
+                      the scope of a quantifier, and no free variables (Theorem 5.5)"
+                .into(),
+        });
+        self.require_input_bounded(
+            opts,
+            &[property, env_spec],
+            &[],
+            strictness.into_iter().collect(),
+        )?;
 
         // ψ̄: relativize temporal operators to moveE.
         let relativized = env_spec.body.relativize(move_env);
@@ -125,227 +95,47 @@ impl Verifier {
                 .map_err(VerifyError::Unsupported)?;
 
         // Track the flags and relations everything observes.
-        let mut observed = BTreeSet::new();
-        property
-            .body
-            .visit_fo(&mut |fo| observed.extend(fo.relations()));
-        translated
-            .body
-            .visit_fo(&mut |fo| observed.extend(fo.relations()));
-        self.composition_mut().observe_flags(&observed);
-        self.composition_mut().freeze_unobserved(&observed);
+        let mut observed = observed_relations(&property.body);
+        observed.extend(observed_relations(&translated.body));
+        self.with_observed(&observed, |v| {
+            let domain = {
+                // Constants of both formulas matter.
+                let mut all: BTreeSet<Value> = v.domain_for(property, opts).into_iter().collect();
+                all.extend(v.domain_for(env_spec, opts));
+                all.into_iter().collect::<Vec<Value>>()
+            };
+            let (constants, fresh) = v.split_domain(&domain);
 
-        let domain = {
-            // Constants of both formulas matter.
-            let d1 = self.domain_for(property, opts);
-            let d2 = self.domain_for(env_spec, opts);
-            let mut all: BTreeSet<Value> = d1.into_iter().collect();
-            all.extend(d2);
-            all.into_iter().collect::<Vec<Value>>()
-        };
-        let (constants, fresh) = self.split_domain(&domain);
-        let (base_db, universe) = self.database_setup_pub(&opts.database, &domain);
-
-        // A run refutes the modular judgment iff it satisfies ψ̄r under
-        // *every* spec valuation and ¬φ under *some* property valuation:
-        // the spec valuations become a conjunction.
-        let spec_valuations = canonical_valuations(&translated.hoisted_vars, &domain, &[]);
-
-        let negated_property = LtlFo::not(property.body.clone());
-        // Atom-capacity pre-check: grounding conjoins one copy of the spec
-        // per valuation; more than 64 distinct snapshot atoms cannot be
-        // encoded in a letter. Fail gracefully instead of panicking deep in
-        // the registry.
-        let leaves = |f: &LtlFo| -> usize {
-            let mut n = 0;
-            f.visit_fo(&mut |_| n += 1);
-            n
-        };
-        let estimate = spec_valuations.len() * leaves(&translated.body) + leaves(&negated_property);
-        if estimate > 64 {
-            return Err(VerifyError::Unsupported(format!(
-                "modular check would ground ~{estimate} snapshot atoms (> 64): reduce the                  environment spec's free variables, the domain, or split the spec"
-            )));
-        }
-        // Ample reduction: gated exactly as in `check` — in practice the
-        // relativization introduces `X` (and the translated spec observes
-        // the `moveE` proposition), so modular checks degrade to full
-        // expansion; the plumbing keeps the options uniform.
-        let combined = LtlFo::And(vec![translated.body.clone(), property.body.clone()]);
-        let reduction =
-            crate::verify::reduction_oracle(self.composition(), &combined, &observed, opts);
-        let shared = crate::verify::build_shared(
-            self.composition(),
-            opts.rule_eval,
-            opts.state_repr,
-            &domain,
-        );
-        let limits = meta.limits(opts);
-        let valuations = canonical_valuations(&property.universal_vars, &constants, &fresh);
-        let valuations_checked = valuations.len();
-
-        // Dispatch the property valuations through the shard scheduler,
-        // exactly as `check` does: the spec conjunction is re-grounded per
-        // valuation (its atoms get identical ids — grounding is
-        // deterministic), and the combined formula is the NBA-cache key,
-        // so property valuations sharing a grounded shape translate once.
-        let shards = crate::scheduler::effective_shards(opts);
-        let task_opts = VerifyOptions {
-            threads: crate::scheduler::inner_threads(opts, shards),
-            ..opts.clone()
-        };
-        let cache = crate::scheduler::NbaCache::new();
-        let deterministic = crate::scheduler::deterministic_mode(opts);
-        let tasks: Vec<_> = valuations.iter().cloned().map(|v| (v, None)).collect();
-        let comp = self.composition();
-        let meta_ref: &crate::telemetry::RunMeta = &meta;
-        let runner = |valuation: &HashMap<VarId, Value>,
-                      _resume: Option<ddws_automata::EngineCheckpoint<crate::product::PState>>,
-                      limits: &ddws_automata::SearchLimits|
-         -> crate::scheduler::TaskOutput {
-            let mut atoms = AtomRegistry::new();
-            let nba_start = Instant::now();
-            let mut conjuncts: Vec<ddws_automata::Ltl> = Vec::new();
-            for spec_val in &spec_valuations {
-                conjuncts.push(ground_ltlfo(&translated.body, spec_val, &mut atoms));
+            // A run refutes the modular judgment iff it satisfies ψ̄r under
+            // *every* spec valuation and ¬φ under *some* property
+            // valuation: the spec valuations become a conjunction.
+            let spec_valuations = canonical_valuations(&translated.hoisted_vars, &domain, &[]);
+            // Atom-capacity pre-check: grounding conjoins one copy of the
+            // spec per valuation; more than 64 distinct snapshot atoms
+            // cannot be encoded in a letter. Fail gracefully instead of
+            // panicking deep in the registry.
+            let leaves = |f: &LtlFo| -> usize {
+                let mut n = 0;
+                f.visit_fo(&mut |_| n += 1);
+                n
+            };
+            // ¬φ has exactly φ's leaves.
+            let estimate =
+                spec_valuations.len() * leaves(&translated.body) + leaves(&property.body);
+            if estimate > 64 {
+                return Err(VerifyError::Unsupported(format!(
+                    "modular check would ground ~{estimate} snapshot atoms (> 64): reduce the \
+                     environment spec's free variables, the domain, or split the spec"
+                )));
             }
-            conjuncts.push(ground_ltlfo(&negated_property, valuation, &mut atoms));
-            let ltl = conjuncts
-                .into_iter()
-                .reduce(ddws_automata::Ltl::and)
-                .expect("at least the negated property");
-            let nba = cache.translate(&ltl);
-            cache.add_ns(nba_start.elapsed().as_nanos() as u64);
-            let mut system =
-                ProductSystem::new(comp, &base_db, &universe, &domain, &nba, &atoms, &shared);
-            if let Some(ind) = &reduction {
-                system = system.with_reduction(ind);
-            }
-            let tel = meta_ref.engine_telemetry(&task_opts, &shared);
-            match crate::parallel::search_product(&system, &task_opts, limits, &tel) {
-                Ok((None, stats)) => crate::scheduler::TaskOutput {
-                    stats,
-                    verdict: crate::scheduler::TaskVerdict::Holds,
-                },
-                Ok((Some(lasso), stats)) => {
-                    let cex_start = Instant::now();
-                    let cex = build_counterexample(
-                        &system,
-                        &base_db,
-                        &universe,
-                        &property.universal_vars,
-                        valuation,
-                        lasso.prefix,
-                        lasso.cycle,
-                    );
-                    crate::scheduler::TaskOutput {
-                        stats,
-                        verdict: crate::scheduler::TaskVerdict::Violated {
-                            cex: Box::new(cex),
-                            cex_ns: cex_start.elapsed().as_nanos() as u64,
-                        },
-                    }
-                }
-                Err(stop) => crate::scheduler::TaskOutput {
-                    stats: stop.stats,
-                    verdict: crate::scheduler::TaskVerdict::Stopped {
-                        reason: stop.reason,
-                        checkpoint: stop.checkpoint,
-                    },
-                },
-            }
-        };
-        let outcome =
-            crate::scheduler::run_valuation_shards(tasks, shards, &limits, deterministic, runner);
-        meta.nba_ns += cache.ns();
-        let fold = |batch: &SearchStats| -> SearchStats {
-            let mut stats = *batch;
-            shared.fold_into(&mut stats);
-            stats.nba_cache_hits = cache.hits();
-            stats.nba_cache_misses = cache.misses();
-            stats
-        };
-        match outcome {
-            crate::scheduler::ShardOutcome::AllHold { stats, per_shard } => {
-                let stats = fold(&stats);
-                let telemetry =
-                    meta.finish(opts, "holds", &stats, domain.len(), valuations_checked);
-                Ok(Report {
-                    outcome: Outcome::Holds,
-                    stats,
-                    domain,
-                    valuations_checked,
-                    shard_valuations: per_shard,
-                    telemetry,
-                })
-            }
-            crate::scheduler::ShardOutcome::Violated {
-                index: _,
-                cex,
-                cex_ns,
-                stats,
-                per_shard,
-            } => {
-                let stats = fold(&stats);
-                meta.cex_ns += cex_ns;
-                let telemetry =
-                    meta.finish(opts, "violated", &stats, domain.len(), valuations_checked);
-                Ok(Report {
-                    outcome: Outcome::Violated(cex),
-                    stats,
-                    domain,
-                    valuations_checked,
-                    shard_valuations: per_shard,
-                    telemetry,
-                })
-            }
-            crate::scheduler::ShardOutcome::Stopped {
-                reason,
-                stats,
-                per_shard,
-                ..
-            } => {
-                let stats = fold(&stats);
-                if let AbortReason::WorkerPanicked { worker, payload } = &reason {
-                    let report = meta.finish_abort(
-                        opts,
-                        &reason,
-                        false,
-                        &stats,
-                        domain.len(),
-                        valuations_checked,
-                    );
-                    return Err(VerifyError::WorkerPanicked {
-                        worker: *worker,
-                        payload: payload.clone(),
-                        report: Box::new(report),
-                    });
-                }
-                // Modular checks never capture checkpoints: the spec
-                // translation is cheap to redo, so a fresh call with laxer
-                // limits is the resume path — the scheduler's legs are
-                // dropped.
-                let telemetry = meta.finish_abort(
-                    opts,
-                    &reason,
-                    false,
-                    &stats,
-                    domain.len(),
-                    valuations_checked,
-                );
-                Ok(Report {
-                    outcome: Outcome::Inconclusive(Box::new(Inconclusive {
-                        reason,
-                        checkpoint: None,
-                    })),
-                    stats,
-                    domain,
-                    valuations_checked,
-                    shard_valuations: per_shard,
-                    telemetry,
-                })
-            }
-        }
+            let valuations = canonical_valuations(&property.universal_vars, &constants, &fresh);
+            let goal = Goal::Modular {
+                property,
+                spec: &translated.body,
+                spec_valuations,
+            };
+            v.run_closure(&mut meta, opts, goal, &observed, domain, valuations)
+        })
     }
 
     /// Parses an environment spec (same syntax as properties; atoms over

@@ -13,141 +13,16 @@
 //!   free guard variables universally instantiated over the verification
 //!   domain (Definition 4.4, Theorem 4.5).
 
-use crate::counterexample::Counterexample;
-use crate::ground::{canonical_valuations, AtomRegistry};
-use crate::oracle::FactUniverse;
-use crate::product::{ProductSystem, SharedSearch};
-use crate::verify::{
-    build_counterexample, Inconclusive, Outcome, Report, Verifier, VerifyError, VerifyOptions,
-};
+use crate::ground::canonical_valuations;
+use crate::verify::{Goal, Report, Verifier, VerifyError, VerifyOptions};
 use ddws_automata::complement::{complement, complement_deterministic, complete};
-use ddws_automata::emptiness::SearchStats;
-use ddws_automata::{Nba, SearchLimits};
-use ddws_logic::input_bounded::check_input_bounded_fo;
-use ddws_logic::VarId;
-use ddws_model::Composition;
+use ddws_automata::Nba;
+use ddws_logic::{Fo, VarId};
 use ddws_protocol::{DataAgnosticProtocol, DataAwareProtocol};
-use ddws_relational::{Instance, Value};
-use ddws_telemetry::AbortReason;
+use ddws_relational::{RelId, Value};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use std::time::Instant;
-
-/// Maps a graceful engine stop to the protocol entry points' exit: a
-/// `worker_panicked` error, or `Ok` with [`Outcome::Inconclusive`] —
-/// either way, exactly one abort report is emitted. Protocol checks never
-/// capture checkpoints (complementation and guard grounding are cheap to
-/// redo), so the abort is marked non-resumable and a fresh call with
-/// laxer limits is the resume path.
-#[allow(clippy::too_many_arguments)]
-fn protocol_abort(
-    reason: AbortReason,
-    stats: SearchStats,
-    meta: &crate::telemetry::RunMeta,
-    opts: &VerifyOptions,
-    domain: Vec<Value>,
-    valuations_checked: usize,
-    shard_valuations: Vec<u64>,
-) -> Result<Report, VerifyError> {
-    if let AbortReason::WorkerPanicked { worker, payload } = &reason {
-        let report = meta.finish_abort(
-            opts,
-            &reason,
-            false,
-            &stats,
-            domain.len(),
-            valuations_checked,
-        );
-        return Err(VerifyError::WorkerPanicked {
-            worker: *worker,
-            payload: payload.clone(),
-            report: Box::new(report),
-        });
-    }
-    let telemetry = meta.finish_abort(
-        opts,
-        &reason,
-        false,
-        &stats,
-        domain.len(),
-        valuations_checked,
-    );
-    Ok(Report {
-        outcome: Outcome::Inconclusive(Box::new(Inconclusive {
-            reason,
-            checkpoint: None,
-        })),
-        stats,
-        domain,
-        valuations_checked,
-        shard_valuations,
-        telemetry,
-    })
-}
-
-/// One product search against the complemented protocol automaton, shaped
-/// as a scheduler task: no meters are folded (the caller folds the
-/// run-wide [`SharedSearch`] once at the end) and counterexample
-/// construction time rides in the verdict, merged into the run's phase
-/// only if this task wins.
-#[allow(clippy::too_many_arguments)]
-fn protocol_search_task(
-    comp: &Composition,
-    violation_nba: &Nba,
-    atoms: AtomRegistry,
-    base_db: &Instance,
-    universe: &FactUniverse,
-    domain: &[Value],
-    shared: &SharedSearch,
-    valuation: &[(VarId, Value)],
-    limits: &SearchLimits,
-    opts: &VerifyOptions,
-    meta: &crate::telemetry::RunMeta,
-) -> crate::scheduler::TaskOutput {
-    let system = ProductSystem::new(
-        comp,
-        base_db,
-        universe,
-        domain,
-        violation_nba,
-        &atoms,
-        shared,
-    );
-    let tel = meta.engine_telemetry(opts, shared);
-    match crate::parallel::search_product(&system, opts, limits, &tel) {
-        Ok((None, stats)) => crate::scheduler::TaskOutput {
-            stats,
-            verdict: crate::scheduler::TaskVerdict::Holds,
-        },
-        Ok((Some(lasso), stats)) => {
-            let cex_start = Instant::now();
-            let vars: Vec<VarId> = valuation.iter().map(|(v, _)| *v).collect();
-            let map: std::collections::HashMap<VarId, Value> = valuation.iter().copied().collect();
-            let cex: Counterexample = build_counterexample(
-                &system,
-                base_db,
-                universe,
-                &vars,
-                &map,
-                lasso.prefix,
-                lasso.cycle,
-            );
-            crate::scheduler::TaskOutput {
-                stats,
-                verdict: crate::scheduler::TaskVerdict::Violated {
-                    cex: Box::new(cex),
-                    cex_ns: cex_start.elapsed().as_nanos() as u64,
-                },
-            }
-        }
-        Err(stop) => crate::scheduler::TaskOutput {
-            stats: stop.stats,
-            verdict: crate::scheduler::TaskVerdict::Stopped {
-                reason: stop.reason,
-                checkpoint: stop.checkpoint,
-            },
-        },
-    }
-}
 
 /// Complements a protocol automaton, preferring the deterministic
 /// construction.
@@ -168,84 +43,9 @@ impl Verifier {
         protocol: &DataAgnosticProtocol,
         opts: &VerifyOptions,
     ) -> Result<Report, VerifyError> {
-        let saved = self.save_masks();
-        let result = self.check_data_agnostic_inner(protocol, opts);
-        self.restore_masks(saved);
-        result
-    }
-
-    fn check_data_agnostic_inner(
-        &mut self,
-        protocol: &DataAgnosticProtocol,
-        opts: &VerifyOptions,
-    ) -> Result<Report, VerifyError> {
-        if opts.require_input_bounded {
-            if let Err(vs) = self.composition().check_input_bounded(opts.ib_options) {
-                return Err(VerifyError::NotInputBounded(vs));
-            }
-        }
-        let atoms_fo = protocol.observation_atoms(self.composition());
-        let mut observed = BTreeSet::new();
-        for fo in &atoms_fo {
-            observed.extend(fo.relations());
-        }
-        self.composition_mut().observe_flags(&observed);
-        self.composition_mut().freeze_unobserved(&observed);
-
-        let mut atoms = AtomRegistry::new();
-        for fo in atoms_fo {
-            atoms.push(fo);
-        }
-        let mut meta = crate::telemetry::RunMeta::new("protocol_data_agnostic", opts);
-        // Protocol checks have no LTL → NBA translation; complementation
-        // plays the same role, so it lands in the same phase timer.
-        let nba_start = Instant::now();
-        let violation_nba = complement_protocol(&protocol.automaton);
-        meta.nba_ns += nba_start.elapsed().as_nanos() as u64;
-        let domain = self.protocol_domain(opts);
-        let limits = meta.limits(opts);
-        let (base_db, universe) = self.database_setup_pub(&opts.database, &domain);
-        let comp = self.composition();
-        let shared = crate::verify::build_shared(comp, opts.rule_eval, opts.state_repr, &domain);
-        let out = protocol_search_task(
-            comp,
-            &violation_nba,
-            atoms,
-            &base_db,
-            &universe,
-            &domain,
-            &shared,
-            &[],
-            &limits,
-            opts,
-            &meta,
-        );
-        let mut stats = out.stats;
-        shared.fold_into(&mut stats);
-        match out.verdict {
-            crate::scheduler::TaskVerdict::Stopped { reason, .. } => {
-                protocol_abort(reason, stats, &meta, opts, domain, 1, vec![1])
-            }
-            verdict => {
-                let outcome = match verdict {
-                    crate::scheduler::TaskVerdict::Violated { cex, cex_ns } => {
-                        meta.cex_ns += cex_ns;
-                        Outcome::Violated(cex)
-                    }
-                    _ => Outcome::Holds,
-                };
-                let label = if outcome.holds() { "holds" } else { "violated" };
-                let telemetry = meta.finish(opts, label, &stats, domain.len(), 1);
-                Ok(Report {
-                    outcome,
-                    stats,
-                    domain,
-                    valuations_checked: 1,
-                    shard_valuations: vec![1],
-                    telemetry,
-                })
-            }
-        }
+        self.require_input_bounded(opts, &[], &[], Vec::new())?;
+        let atoms = protocol.observation_atoms(self.composition());
+        self.check_protocol("protocol_data_agnostic", &protocol.automaton, &atoms, opts)
     }
 
     /// Checks a data-aware conversation protocol with observer-at-recipient
@@ -256,141 +56,47 @@ impl Verifier {
         protocol: &DataAwareProtocol,
         opts: &VerifyOptions,
     ) -> Result<Report, VerifyError> {
-        let saved = self.save_masks();
-        let result = self.check_data_aware_inner(protocol, opts);
-        self.restore_masks(saved);
-        result
+        self.require_input_bounded(opts, &[], &protocol.guards, Vec::new())?;
+        self.check_protocol(
+            "protocol_data_aware",
+            &protocol.automaton,
+            &protocol.guards,
+            opts,
+        )
     }
 
-    fn check_data_aware_inner(
+    /// The shared protocol front-end: complement the automaton, narrow the
+    /// masks to the guards' relations, and dispatch one product search per
+    /// canonical valuation of the guards' free variables. Data-agnostic
+    /// observation atoms are ground, so their closure is the single empty
+    /// valuation.
+    fn check_protocol(
         &mut self,
-        protocol: &DataAwareProtocol,
+        entry: &'static str,
+        automaton: &Nba,
+        guards: &[Fo],
         opts: &VerifyOptions,
     ) -> Result<Report, VerifyError> {
-        if opts.require_input_bounded {
-            let mut violations = Vec::new();
-            if let Err(vs) = self.composition().check_input_bounded(opts.ib_options) {
-                violations.extend(vs);
-            }
-            for g in &protocol.guards {
-                if let Err(vs) = check_input_bounded_fo(g, self.composition(), opts.ib_options) {
-                    violations.extend(vs);
-                }
-            }
-            if !violations.is_empty() {
-                return Err(VerifyError::NotInputBounded(violations));
-            }
-        }
-        let mut observed = BTreeSet::new();
-        for g in &protocol.guards {
-            observed.extend(g.relations());
-        }
-        self.composition_mut().observe_flags(&observed);
-        self.composition_mut().freeze_unobserved(&observed);
-
-        let mut meta = crate::telemetry::RunMeta::new("protocol_data_aware", opts);
-        let nba_start = Instant::now();
-        let violation_nba = complement_protocol(&protocol.automaton);
-        meta.nba_ns += nba_start.elapsed().as_nanos() as u64;
-        let domain = self.protocol_domain(opts);
-        let limits = meta.limits(opts);
-        let vars = protocol.free_vars();
-        let (constants, fresh) = self.split_domain(&domain);
-        let valuations = canonical_valuations(&vars, &constants, &fresh);
-        let total = valuations.len();
-
-        // One database setup and one `SharedSearch` span the whole run —
-        // the guard valuations share the rule-footprint and interner
-        // caches — and the valuations dispatch through the shard
-        // scheduler. The deterministic winner rule keeps
-        // `valuations_checked` exact under early cancel: a violation or
-        // stop at winner index `w` reports `w + 1` attempted valuations,
-        // exactly as the sequential loop did.
-        let (base_db, universe) = self.database_setup_pub(&opts.database, &domain);
-        let comp = self.composition();
-        let shared = crate::verify::build_shared(comp, opts.rule_eval, opts.state_repr, &domain);
-        let shards = crate::scheduler::effective_shards(opts);
-        let task_opts = VerifyOptions {
-            threads: crate::scheduler::inner_threads(opts, shards),
-            ..opts.clone()
-        };
-        let deterministic = crate::scheduler::deterministic_mode(opts);
-        let tasks: Vec<_> = valuations.into_iter().map(|v| (v, None)).collect();
-        let meta_ref: &crate::telemetry::RunMeta = &meta;
-        let runner = |valuation: &std::collections::HashMap<VarId, Value>,
-                      _resume: Option<ddws_automata::EngineCheckpoint<crate::product::PState>>,
-                      limits: &SearchLimits|
-         -> crate::scheduler::TaskOutput {
-            let mut atoms = AtomRegistry::new();
-            for g in &protocol.guards {
-                atoms.push(g.substitute(&|v| valuation.get(&v).copied()));
-            }
-            protocol_search_task(
-                comp,
-                &violation_nba,
-                atoms,
-                &base_db,
-                &universe,
-                &domain,
-                &shared,
-                &vars.iter().map(|v| (*v, valuation[v])).collect::<Vec<_>>(),
-                limits,
-                &task_opts,
-                meta_ref,
-            )
-        };
-        let outcome =
-            crate::scheduler::run_valuation_shards(tasks, shards, &limits, deterministic, runner);
-        let fold = |batch: &SearchStats| -> SearchStats {
-            let mut stats = *batch;
-            shared.fold_into(&mut stats);
-            stats
-        };
-        match outcome {
-            crate::scheduler::ShardOutcome::AllHold { stats, per_shard } => {
-                let stats = fold(&stats);
-                let telemetry = meta.finish(opts, "holds", &stats, domain.len(), total);
-                Ok(Report {
-                    outcome: Outcome::Holds,
-                    stats,
-                    domain,
-                    valuations_checked: total,
-                    shard_valuations: per_shard,
-                    telemetry,
-                })
-            }
-            crate::scheduler::ShardOutcome::Violated {
-                index,
-                cex,
-                cex_ns,
-                stats,
-                per_shard,
-            } => {
-                let stats = fold(&stats);
-                meta.cex_ns += cex_ns;
-                let valuations_checked = index + 1;
-                let telemetry =
-                    meta.finish(opts, "violated", &stats, domain.len(), valuations_checked);
-                Ok(Report {
-                    outcome: Outcome::Violated(cex),
-                    stats,
-                    domain,
-                    valuations_checked,
-                    shard_valuations: per_shard,
-                    telemetry,
-                })
-            }
-            crate::scheduler::ShardOutcome::Stopped {
-                index,
-                reason,
-                stats,
-                per_shard,
-                ..
-            } => {
-                let stats = fold(&stats);
-                protocol_abort(reason, stats, &meta, opts, domain, index + 1, per_shard)
-            }
-        }
+        let observed: BTreeSet<RelId> = guards.iter().flat_map(Fo::relations).collect();
+        let vars: BTreeSet<VarId> = guards.iter().flat_map(Fo::free_vars).collect();
+        let vars: Vec<VarId> = vars.into_iter().collect();
+        self.with_observed(&observed, |v| {
+            let mut meta = crate::telemetry::RunMeta::new(entry, opts);
+            // Protocol checks have no LTL → NBA translation; complementation
+            // plays the same role, so it lands in the same phase timer.
+            let nba_start = Instant::now();
+            let nba = Arc::new(complement_protocol(automaton));
+            meta.nba_ns += nba_start.elapsed().as_nanos() as u64;
+            let domain = v.protocol_domain(opts);
+            let (constants, fresh) = v.split_domain(&domain);
+            let valuations = canonical_valuations(&vars, &constants, &fresh);
+            let goal = Goal::Protocol {
+                nba,
+                guards,
+                vars: &vars,
+            };
+            v.run_closure(&mut meta, opts, goal, &observed, domain, valuations)
+        })
     }
 
     /// Domain for protocol checks: rule constants plus fresh values.

@@ -25,20 +25,22 @@
 //!   [`EngineCheckpoint`] as a *leg* so `Verifier::resume` can drain all
 //!   of them plus the untouched valuation tail to the unfaulted verdict.
 //!
-//! Three execution modes share one classification pass:
+//! Two execution modes share one classification pass:
 //!
-//! * **inline** (`shards <= 1`) — the plain ordered loop, byte-identical
-//!   to the pre-scheduler verifier;
-//! * **threaded** (`shards > 1`, production) — a `std::thread::scope`
-//!   worker pool claiming valuation indices in order, with per-task child
-//!   [`CancelToken`]s for the first-violation cancel;
-//! * **cooperative** (`shards > 1` under a fault hook or virtual clock) —
-//!   a single-threaded round-robin over shard slots that parks each task
-//!   every [`QUANTUM_STATES`] visited states via a synthetic state-budget
-//!   stop. The deterministic simulator's virtual-clock deadlines and
+//! * **threaded** (`shards > 1` and more than one task, production) — a
+//!   `std::thread::scope` worker pool claiming valuation indices in
+//!   order, with per-task child [`CancelToken`]s for the first-violation
+//!   cancel;
+//! * **cooperative** (everything else) — the tasks run in index order on
+//!   the calling thread. With one slot (`shards <= 1` or a single task)
+//!   this is the plain ordered loop with early exit at the first
+//!   non-`Holds` result. Under a fault hook or virtual clock with several
+//!   slots it becomes a round-robin that parks each task every
+//!   [`QUANTUM_STATES`] visited states via a synthetic state-budget stop.
+//!   The deterministic simulator's virtual-clock deadlines and
 //!   exact-ordinal fault plans stay a pure function of the schedule, yet
-//!   a global stop still leaves multiple parked legs — so the crash/resume
-//!   swarm exercises genuine multi-shard checkpoints.
+//!   a global stop still leaves multiple parked legs — so the
+//!   crash/resume swarm exercises genuine multi-shard checkpoints.
 //!
 //! [`VerifyOptions::valuation_threads`]: crate::verify::VerifyOptions::valuation_threads
 
@@ -218,8 +220,6 @@ pub(crate) enum ShardOutcome {
     },
     /// The winning (lowest-index non-`Holds`) valuation is violated.
     Violated {
-        /// Index of the winning valuation within the dispatched batch.
-        index: usize,
         cex: Box<Counterexample>,
         cex_ns: u64,
         /// Statistics of the completed prefix plus the winner — exactly
@@ -230,8 +230,6 @@ pub(crate) enum ShardOutcome {
     },
     /// The winning valuation stopped without a verdict.
     Stopped {
-        /// Index of the winning valuation within the dispatched batch.
-        index: usize,
         reason: AbortReason,
         /// Prefix + the winner's partial statistics (the abort report's
         /// counters; deterministic for budget stops).
@@ -269,9 +267,7 @@ where
     F: Fn(&HashMap<VarId, Value>, Option<EngineCheckpoint<PState>>, &SearchLimits) -> TaskOutput
         + Sync,
 {
-    if shards <= 1 || tasks.len() <= 1 {
-        run_inline(tasks, limits, &runner)
-    } else if deterministic {
+    if deterministic || shards <= 1 || tasks.len() <= 1 {
         run_cooperative(tasks, shards, limits, &runner)
     } else {
         run_threaded(tasks, shards, limits, &runner)
@@ -317,27 +313,6 @@ fn payload_string(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "opaque panic payload".to_string()
     }
-}
-
-/// The classic ordered loop: one shard, early exit at the first
-/// non-`Holds` result. Byte-identical to the pre-scheduler verifier.
-fn run_inline<F>(tasks: Vec<ValuationTask>, limits: &SearchLimits, runner: &F) -> ShardOutcome
-where
-    F: Fn(&HashMap<VarId, Value>, Option<EngineCheckpoint<PState>>, &SearchLimits) -> TaskOutput
-        + Sync,
-{
-    let mut results: Vec<Option<TaskOutput>> = tasks.iter().map(|_| None).collect();
-    let mut started = 0u64;
-    for (i, (valuation, resume)) in tasks.into_iter().enumerate() {
-        started += 1;
-        let out = run_guarded(runner, 0, &valuation, resume, limits);
-        let done = !matches!(out.verdict, TaskVerdict::Holds);
-        results[i] = Some(out);
-        if done {
-            break;
-        }
-    }
-    classify(results, vec![started])
 }
 
 /// The production worker pool: `shards` scope threads claim valuation
@@ -445,12 +420,14 @@ struct CoopSlot {
     parked: Option<(EngineCheckpoint<PState>, SearchStats)>,
 }
 
-/// The deterministic scheduler: claims tasks in index order into `shards`
-/// slots and round-robins one [`QUANTUM_STATES`]-state quantum at a time
-/// via synthetic state-budget parks, all on the caller's thread. Under a
-/// virtual clock or an exact-ordinal fault plan every stop point is a
-/// pure function of the schedule, and a global stop (cancel, deadline)
-/// leaves each in-flight slot as a checkpoint leg.
+/// The deterministic scheduler: claims tasks in index order into shard
+/// slots, all on the caller's thread. One slot (`shards <= 1` or a single
+/// task) runs each task to its end: the ordered loop with early exit.
+/// Several slots round-robin one [`QUANTUM_STATES`]-state quantum at a
+/// time via synthetic state-budget parks. Under a virtual clock or an
+/// exact-ordinal fault plan every stop point is a pure function of the
+/// schedule, and a global stop (cancel, deadline) leaves each in-flight
+/// slot as a checkpoint leg.
 fn run_cooperative<F>(
     tasks: Vec<ValuationTask>,
     shards: usize,
@@ -463,11 +440,14 @@ where
 {
     let n = tasks.len();
     let mut tasks = tasks;
+    let slots = if n <= 1 { 1 } else { shards.max(1) };
+    // Parking only pays when another slot can run in between.
+    let parking = slots > 1;
     let real_cap = limits.max_states;
     let mut results: Vec<Option<TaskOutput>> = (0..n).map(|_| None).collect();
-    let mut per_shard = vec![0u64; shards];
+    let mut per_shard = vec![0u64; slots];
     // Free slot ids, lowest first (claim order is deterministic).
-    let mut free: Vec<usize> = (0..shards).rev().collect();
+    let mut free: Vec<usize> = (0..slots).rev().collect();
     let mut queue: VecDeque<CoopSlot> = VecDeque::new();
     let mut next = 0usize;
     let mut winner_bound = usize::MAX;
@@ -502,27 +482,26 @@ where
             break;
         };
 
-        let visited = resume.as_ref().map_or(0, |cp| cp.states_visited());
-        let quantum_cap = visited + QUANTUM_STATES;
-        let cap = real_cap.map_or(quantum_cap, |r| quantum_cap.min(r));
-        let quantum_limits = SearchLimits {
-            max_states: Some(cap),
-            ..limits.clone()
+        let quantum_limits;
+        let task_limits = if parking {
+            let visited = resume.as_ref().map_or(0, |cp| cp.states_visited());
+            let quantum_cap = visited + QUANTUM_STATES;
+            quantum_limits = SearchLimits {
+                max_states: Some(real_cap.map_or(quantum_cap, |r| quantum_cap.min(r))),
+                ..limits.clone()
+            };
+            &quantum_limits
+        } else {
+            limits
         };
-        let out = run_guarded(
-            runner,
-            slot.shard,
-            &tasks[slot.idx].0,
-            resume,
-            &quantum_limits,
-        );
+        let out = run_guarded(runner, slot.shard, &tasks[slot.idx].0, resume, task_limits);
         match out.verdict {
             // A budget stop at the *synthetic* cap is a park, not a
             // verdict; a stop at the real cap falls through as genuine.
             TaskVerdict::Stopped {
                 reason: AbortReason::StateBudget { max_states },
                 checkpoint: Some(cp),
-            } if Some(max_states) != real_cap => {
+            } if parking && Some(max_states) != real_cap => {
                 slot.parked = Some((cp, out.stats));
                 queue.push_back(slot);
             }
@@ -606,7 +585,6 @@ fn classify(mut results: Vec<Option<TaskOutput>>, per_shard: Vec<u64>) -> ShardO
             let mut stats = prefix;
             stats.absorb(&out.stats);
             ShardOutcome::Violated {
-                index: w,
                 cex,
                 cex_ns,
                 stats,
@@ -646,7 +624,6 @@ fn classify(mut results: Vec<Option<TaskOutput>>, per_shard: Vec<u64>) -> ShardO
                 }
             }
             ShardOutcome::Stopped {
-                index: w,
                 reason,
                 stats,
                 stats_prior,
@@ -712,14 +689,12 @@ mod tests {
         );
         match out {
             ShardOutcome::Stopped {
-                index,
                 stats,
                 stats_prior,
                 remaining,
                 legs,
                 ..
             } => {
-                assert_eq!(index, 1);
                 // Abort-report stats: prefix + winner partial only.
                 assert_eq!(stats.states_visited, 15);
                 assert!(stats.truncated);

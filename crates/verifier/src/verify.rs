@@ -7,10 +7,12 @@ use crate::oracle::{FactUniverse, Oracle};
 use crate::product::{PState, ProductSystem, SharedSearch};
 use crate::relevance::ColumnDomains;
 use ddws_automata::emptiness::SearchStats;
-use ddws_automata::{resume_accepting_lasso_with, ClockHandle, EngineCheckpoint, Ltl};
-use ddws_logic::input_bounded::{check_input_bounded_sentence, IbOptions, IbViolation};
+use ddws_automata::{resume_accepting_lasso_with, ClockHandle, EngineCheckpoint, Ltl, Nba};
+use ddws_logic::input_bounded::{
+    check_input_bounded_fo, check_input_bounded_sentence, IbOptions, IbViolation,
+};
 use ddws_logic::parser::{parse_sentence, ParseError, Resolver};
-use ddws_logic::{LtlFo, LtlFoSentence, VarId};
+use ddws_logic::{Fo, LtlFo, LtlFoSentence, VarId};
 use ddws_model::builder::collect_constants;
 use ddws_model::{Composition, IndependenceOracle, ValueClasses};
 use ddws_relational::{Instance, RelId, Value};
@@ -228,7 +230,7 @@ pub(crate) fn build_shared(
 /// Whether an LTL-FO formula contains the `X` operator anywhere —
 /// properties with `X` are not stutter-invariant, so the ample-set
 /// reduction must stay off for them.
-pub(crate) fn contains_next(f: &LtlFo) -> bool {
+fn contains_next(f: &LtlFo) -> bool {
     match f {
         LtlFo::Fo(_) => false,
         LtlFo::X(_) => true,
@@ -241,7 +243,7 @@ pub(crate) fn contains_next(f: &LtlFo) -> bool {
 /// Builds the independence oracle for a check, or `None` when the
 /// reduction must stay off: not requested, property not stutter-invariant
 /// (contains `X`), or no mover qualifies under the observed atoms.
-pub(crate) fn reduction_oracle(
+fn reduction_oracle(
     comp: &Composition,
     body: &LtlFo,
     observed: &BTreeSet<RelId>,
@@ -487,12 +489,15 @@ pub struct Report {
     pub stats: SearchStats,
     /// The verification domain used.
     pub domain: Vec<Value>,
-    /// Number of universal-closure valuations examined.
+    /// Size of the universal closure — the same on every outcome and
+    /// entry point: valuations folded as vacuous, and valuations an early
+    /// violation or stop left unsearched, count too.
     pub valuations_checked: usize,
-    /// Valuations started per outer shard slot (one entry per shard;
-    /// `[valuations_checked]` for unsharded runs). Counts are
-    /// schedule-dependent under `valuation_threads > 1` with real
-    /// threads, deterministic under the cooperative scheduler.
+    /// Valuations started per outer shard slot: one entry when
+    /// `valuation_threads` resolves to one shard or the batch has one
+    /// task, one per shard otherwise. Counts are schedule-dependent under
+    /// `valuation_threads > 1` with real threads, deterministic under the
+    /// cooperative scheduler.
     pub shard_valuations: Vec<u64>,
     /// The run report also emitted through [`VerifyOptions::reporter`]
     /// (same counters as `stats`, plus phase timers and run labels).
@@ -587,21 +592,67 @@ impl Verifier {
         dom.into_iter().collect()
     }
 
-    /// Saves the composition's observation masks (restored after a check so
-    /// verification tuning never leaks into direct uses of the composition).
-    pub(crate) fn save_masks(&self) -> (Vec<bool>, Vec<bool>, Vec<bool>) {
-        (
+    /// Runs `f` with the composition's observation masks narrowed to
+    /// `observed`: only the received/sent flags the check observes are
+    /// tracked and unobserved state is frozen — the others would multiply
+    /// the configuration space for nothing. The masks are restored
+    /// afterwards, so verification tuning never leaks into direct uses of
+    /// the composition.
+    pub(crate) fn with_observed<T>(
+        &mut self,
+        observed: &BTreeSet<RelId>,
+        f: impl FnOnce(&mut Verifier) -> T,
+    ) -> T {
+        let saved = (
             self.comp.observed_received.clone(),
             self.comp.observed_sent.clone(),
             self.comp.frozen.clone(),
-        )
+        );
+        self.comp.observe_flags(observed);
+        self.comp.freeze_unobserved(observed);
+        let out = f(self);
+        (
+            self.comp.observed_received,
+            self.comp.observed_sent,
+            self.comp.frozen,
+        ) = saved;
+        out
     }
 
-    /// Restores masks saved by [`Verifier::save_masks`].
-    pub(crate) fn restore_masks(&mut self, saved: (Vec<bool>, Vec<bool>, Vec<bool>)) {
-        self.comp.observed_received = saved.0;
-        self.comp.observed_sent = saved.1;
-        self.comp.frozen = saved.2;
+    /// Theorem 3.4's hypothesis for one check: the composition and every
+    /// given sentence and guard are input-bounded; `extra` carries
+    /// entry-point-specific violations. A no-op unless
+    /// `opts.require_input_bounded` is set.
+    pub(crate) fn require_input_bounded(
+        &self,
+        opts: &VerifyOptions,
+        sentences: &[&LtlFoSentence],
+        guards: &[Fo],
+        extra: Vec<IbViolation>,
+    ) -> Result<(), VerifyError> {
+        if !opts.require_input_bounded {
+            return Ok(());
+        }
+        let mut violations = Vec::new();
+        if let Err(vs) = self.comp.check_input_bounded(opts.ib_options) {
+            violations.extend(vs);
+        }
+        for sentence in sentences {
+            if let Err(vs) = check_input_bounded_sentence(sentence, &self.comp, opts.ib_options) {
+                violations.extend(vs);
+            }
+        }
+        for guard in guards {
+            if let Err(vs) = check_input_bounded_fo(guard, &self.comp, opts.ib_options) {
+                violations.extend(vs);
+            }
+        }
+        violations.extend(extra);
+        if violations.is_empty() {
+            Ok(())
+        } else {
+            Err(VerifyError::NotInputBounded(violations))
+        }
     }
 
     /// Checks `C ⊨ property` (Theorem 3.4's decision procedure).
@@ -610,82 +661,33 @@ impl Verifier {
         property: &LtlFoSentence,
         opts: &VerifyOptions,
     ) -> Result<Report, VerifyError> {
-        let saved = self.save_masks();
-        let result = self.check_inner(property, opts);
-        self.restore_masks(saved);
-        result
-    }
-
-    fn check_inner(
-        &mut self,
-        property: &LtlFoSentence,
-        opts: &VerifyOptions,
-    ) -> Result<Report, VerifyError> {
         let mut meta = crate::telemetry::RunMeta::new("check", opts);
-        if opts.require_input_bounded {
-            let mut violations = Vec::new();
-            if let Err(vs) = self.comp.check_input_bounded(opts.ib_options) {
-                violations.extend(vs);
-            }
-            if let Err(vs) = check_input_bounded_sentence(property, &self.comp, opts.ib_options) {
-                violations.extend(vs);
-            }
-            if !violations.is_empty() {
-                return Err(VerifyError::NotInputBounded(violations));
-            }
-        }
-
-        // Track only the received/sent flags the property observes — the
-        // others would double the configuration space per channel for
-        // nothing.
-        let mut observed = BTreeSet::new();
-        property.body.visit_fo(&mut |fo| {
-            observed.extend(fo.relations());
-        });
-        self.comp.observe_flags(&observed);
-        self.comp.freeze_unobserved(&observed);
-
-        let domain = self.domain_for(property, opts);
-        let (base_db, universe) = self.database_setup(&opts.database, &domain);
-
-        // Arc because an interrupted run's checkpoint must keep the
-        // interners alive: the frozen engine frontier stores interned
-        // configuration/oracle ids.
-        let shared = Arc::new(build_shared(
-            &self.comp,
-            opts.rule_eval,
-            opts.state_repr,
-            &domain,
-        ));
-        // Fresh values are interchangeable: check valuations only up to
-        // renaming of the fresh part of the domain. Moreover, the paper
-        // quantifies the universal closure over the *run's* active domain
-        // Dom(rho); with a fixed database and a closed composition, fresh
-        // values can never enter any run (no rule, message or input can
-        // introduce them), so valuations touching them are skipped -- this
-        // is exact, not an approximation.
-        let (constants, fresh) = self.split_domain(&domain);
-        let fixed_closed = matches!(opts.database, DatabaseMode::Fixed(_)) && self.comp.is_closed();
-        let fresh_for_closure: &[Value] = if fixed_closed { &[] } else { &fresh };
-        let valuations =
-            canonical_valuations(&property.universal_vars, &constants, fresh_for_closure);
-        let valuations_total = valuations.len();
-        self.run_universal_closure(
-            &mut meta,
-            opts,
-            ClosureRun {
-                property,
-                observed: &observed,
+        self.require_input_bounded(opts, &[property], &[], Vec::new())?;
+        let observed = observed_relations(&property.body);
+        self.with_observed(&observed, |v| {
+            let domain = v.domain_for(property, opts);
+            // Fresh values are interchangeable: check valuations only up to
+            // renaming of the fresh part of the domain. Moreover, the paper
+            // quantifies the universal closure over the *run's* active
+            // domain Dom(rho); with a fixed database and a closed
+            // composition, fresh values can never enter any run (no rule,
+            // message or input can introduce them), so valuations touching
+            // them are skipped -- this is exact, not an approximation.
+            let (constants, fresh) = v.split_domain(&domain);
+            let fixed_closed =
+                matches!(opts.database, DatabaseMode::Fixed(_)) && v.comp.is_closed();
+            let fresh_for_closure: &[Value] = if fixed_closed { &[] } else { &fresh };
+            let valuations =
+                canonical_valuations(&property.universal_vars, &constants, fresh_for_closure);
+            v.run_closure(
+                &mut meta,
+                opts,
+                Goal::Property(property),
+                &observed,
                 domain,
-                base_db,
-                universe,
-                shared,
                 valuations,
-                legs: Vec::new(),
-                stats_base: SearchStats::default(),
-                valuations_total,
-            },
-        )
+            )
+        })
     }
 
     /// Convenience: parse then check.
@@ -760,22 +762,7 @@ impl Verifier {
     /// A resumed search reaches the same verdict a fresh `check` with the
     /// laxer limits would, with cumulative statistics, and emits exactly
     /// one run report (entry point `"resume"`).
-    pub fn resume(
-        &mut self,
-        checkpoint: Checkpoint,
-        opts: &VerifyOptions,
-    ) -> Result<Report, VerifyError> {
-        let saved = self.save_masks();
-        let result = self.resume_inner(checkpoint, opts);
-        self.restore_masks(saved);
-        result
-    }
-
-    fn resume_inner(
-        &mut self,
-        cp: Checkpoint,
-        opts: &VerifyOptions,
-    ) -> Result<Report, VerifyError> {
+    pub fn resume(&mut self, cp: Checkpoint, opts: &VerifyOptions) -> Result<Report, VerifyError> {
         // The frozen frontier's interned ids are only meaningful to the
         // checkpointed SharedSearch, under the checkpointed engine and
         // successor semantics — so those override whatever `opts` says.
@@ -801,26 +788,25 @@ impl Verifier {
             stats_prior,
             ..
         } = cp;
-        // Re-apply the masks the original check ran under (restored by
-        // `resume` afterwards, exactly as `check` does).
-        self.comp.observe_flags(&observed);
-        self.comp.freeze_unobserved(&observed);
-        self.run_universal_closure(
-            &mut meta,
-            &eff,
-            ClosureRun {
-                property: &property,
-                observed: &observed,
-                domain,
-                base_db,
-                universe,
-                shared,
-                valuations,
-                legs,
-                stats_base: stats_prior,
-                valuations_total,
-            },
-        )
+        // Re-apply the masks the original check ran under.
+        self.with_observed(&observed, |v| {
+            v.run_universal_closure(
+                &mut meta,
+                &eff,
+                ClosureRun {
+                    goal: Goal::Property(&property),
+                    observed: &observed,
+                    domain,
+                    base_db,
+                    universe,
+                    shared,
+                    valuations,
+                    legs,
+                    stats_base: stats_prior,
+                    valuations_total,
+                },
+            )
+        })
     }
 
     /// Replays a [`Counterexample`] returned by [`Verifier::check`] for
@@ -843,10 +829,10 @@ impl Verifier {
         cex: &Counterexample,
         opts: &VerifyOptions,
     ) -> Result<(), String> {
-        let saved = self.save_masks();
-        let result = self.replay_inner(property, cex, opts);
-        self.restore_masks(saved);
-        result
+        // Mirror `check`'s mask setup: configurations in the counterexample
+        // carry only observed flags and unfrozen state.
+        let observed = observed_relations(&property.body);
+        self.with_observed(&observed, |v| v.replay_inner(property, cex, opts))
     }
 
     fn replay_inner(
@@ -855,14 +841,6 @@ impl Verifier {
         cex: &Counterexample,
         opts: &VerifyOptions,
     ) -> Result<(), String> {
-        // Mirror check_inner's mask setup: configurations in the
-        // counterexample carry only observed flags and unfrozen state.
-        let mut observed = BTreeSet::new();
-        property.body.visit_fo(&mut |fo| {
-            observed.extend(fo.relations());
-        });
-        self.comp.observe_flags(&observed);
-        self.comp.freeze_unobserved(&observed);
         let domain = self.domain_for(property, opts);
 
         let steps: Vec<&RunStep> = cex.prefix.iter().chain(cex.cycle.iter()).collect();
@@ -912,14 +890,6 @@ impl Verifier {
         (constants, fresh)
     }
 
-    pub(crate) fn database_setup_pub(
-        &self,
-        mode: &DatabaseMode,
-        domain: &[Value],
-    ) -> (Instance, FactUniverse) {
-        self.database_setup(mode, domain)
-    }
-
     fn database_setup(&self, mode: &DatabaseMode, domain: &[Value]) -> (Instance, FactUniverse) {
         match mode {
             DatabaseMode::Fixed(db) => (db.clone(), FactUniverse::default()),
@@ -939,11 +909,108 @@ impl Verifier {
     }
 }
 
+/// The relations an LTL-FO formula's atoms mention — the observed set
+/// [`Verifier::with_observed`] narrows the composition's masks to.
+pub(crate) fn observed_relations(body: &LtlFo) -> BTreeSet<RelId> {
+    let mut observed = BTreeSet::new();
+    body.visit_fo(&mut |fo| observed.extend(fo.relations()));
+    observed
+}
+
+/// How one universal-closure valuation becomes the automaton its product
+/// search runs against: the only part of the closure pipeline that
+/// differs between entry points (DESIGN.md §3.13).
+pub(crate) enum Goal<'a> {
+    /// `check`/`resume`: ground ¬φ[ν] through the NBA cache, after the
+    /// vacuous fold (DESIGN.md §3.13.1).
+    Property(&'a LtlFoSentence),
+    /// `check_modular`: the translated environment spec ψ̄r grounded
+    /// under every spec valuation, conjoined with ¬φ[ν], through the same
+    /// cache.
+    Modular {
+        property: &'a LtlFoSentence,
+        spec: &'a LtlFo,
+        spec_valuations: Vec<HashMap<VarId, Value>>,
+    },
+    /// The protocol checks: the complemented protocol automaton, shared by
+    /// every valuation, over the guard atoms with ν substituted. A
+    /// data-agnostic check is the one-valuation case with no variables.
+    Protocol {
+        nba: Arc<Nba>,
+        guards: &'a [Fo],
+        vars: &'a [VarId],
+    },
+}
+
+impl Goal<'_> {
+    /// The property whose negation the goal grounds, if any.
+    fn property(&self) -> Option<&LtlFoSentence> {
+        match self {
+            Goal::Property(property) | Goal::Modular { property, .. } => Some(property),
+            Goal::Protocol { .. } => None,
+        }
+    }
+
+    /// The universal variables a counterexample reports the valuation of.
+    fn universal_vars(&self) -> &[VarId] {
+        match self {
+            Goal::Property(property) | Goal::Modular { property, .. } => &property.universal_vars,
+            Goal::Protocol { vars, .. } => vars,
+        }
+    }
+
+    /// Grounds `negated_body` (¬φ) under `valuation`. A modular goal
+    /// conjoins its spec groundings first, so their atoms keep the same
+    /// ids under every valuation and equal shapes share a cached NBA.
+    fn ground(
+        &self,
+        negated_body: &LtlFo,
+        valuation: &HashMap<VarId, Value>,
+        atoms: &mut AtomRegistry,
+    ) -> Ltl {
+        let spec = match self {
+            Goal::Modular {
+                spec,
+                spec_valuations,
+                ..
+            } => spec_valuations
+                .iter()
+                .map(|sv| ground_ltlfo(spec, sv, atoms))
+                .reduce(Ltl::and),
+            _ => None,
+        };
+        let negated = ground_ltlfo(negated_body, valuation, atoms);
+        match spec {
+            Some(spec) => Ltl::and(spec, negated),
+            None => negated,
+        }
+    }
+
+    /// The independence oracle gated on the goal's formula. Modular
+    /// relativization introduces `X`, so in practice modular checks
+    /// degrade to full expansion; protocols never reduce.
+    fn reduction(
+        &self,
+        comp: &Composition,
+        observed: &BTreeSet<RelId>,
+        opts: &VerifyOptions,
+    ) -> Option<IndependenceOracle> {
+        match self {
+            Goal::Property(property) => reduction_oracle(comp, &property.body, observed, opts),
+            Goal::Modular { property, spec, .. } => {
+                let combined = LtlFo::And(vec![(*spec).clone(), property.body.clone()]);
+                reduction_oracle(comp, &combined, observed, opts)
+            }
+            Goal::Protocol { .. } => None,
+        }
+    }
+}
+
 /// One batch of universal-closure valuations to dispatch through the shard
-/// scheduler — the shared shape between `check` (a fresh batch, no legs)
-/// and `resume` (the checkpoint's remaining batch with in-flight legs).
+/// scheduler — a fresh batch (no legs) from every entry point, or a
+/// `resume`'s remaining batch with in-flight legs.
 struct ClosureRun<'a> {
-    property: &'a LtlFoSentence,
+    goal: Goal<'a>,
     observed: &'a BTreeSet<RelId>,
     domain: Vec<Value>,
     base_db: Instance,
@@ -953,7 +1020,7 @@ struct ClosureRun<'a> {
     /// checkpoint's remaining valuations, interrupted winner first).
     valuations: Vec<HashMap<VarId, Value>>,
     /// Frozen engine frontiers to thaw, as (position into `valuations`,
-    /// frontier) pairs. Empty for a fresh `check`.
+    /// frontier) pairs. Empty for a fresh batch.
     legs: Vec<(usize, EngineCheckpoint<PState>)>,
     /// Statistics of valuations completed before this batch (a resumed
     /// run's prior legs); the batch's counters are absorbed on top.
@@ -965,16 +1032,57 @@ struct ClosureRun<'a> {
 }
 
 impl Verifier {
+    /// Runs a fresh batch over `valuations`: sets up the database, the
+    /// shared search state, and dispatches through
+    /// [`Verifier::run_universal_closure`].
+    pub(crate) fn run_closure(
+        &self,
+        meta: &mut crate::telemetry::RunMeta,
+        opts: &VerifyOptions,
+        goal: Goal<'_>,
+        observed: &BTreeSet<RelId>,
+        domain: Vec<Value>,
+        valuations: Vec<HashMap<VarId, Value>>,
+    ) -> Result<Report, VerifyError> {
+        let (base_db, universe) = self.database_setup(&opts.database, &domain);
+        // Arc because an interrupted run's checkpoint must keep the
+        // interners alive: the frozen engine frontier stores interned
+        // configuration/oracle ids.
+        let shared = Arc::new(build_shared(
+            &self.comp,
+            opts.rule_eval,
+            opts.state_repr,
+            &domain,
+        ));
+        self.run_universal_closure(
+            meta,
+            opts,
+            ClosureRun {
+                goal,
+                observed,
+                domain,
+                base_db,
+                universe,
+                shared,
+                valuations_total: valuations.len(),
+                valuations,
+                legs: Vec::new(),
+                stats_base: SearchStats::default(),
+            },
+        )
+    }
+
     /// Runs one batch of universal-closure valuations through the shard
     /// scheduler ([`crate::scheduler`]) and maps the classified outcome to
     /// a [`Report`].
     ///
-    /// This is the convergence point of `check` and `resume`: the outer
+    /// This is the convergence point of every entry point: the outer
     /// worker pool, the first-violation cancel with the deterministic
     /// winner rule, the vacuous-valuation fold, the grounded-NBA cache,
-    /// and multi-leg checkpointing all live here. Grounding and translation are deterministic, so
-    /// rebuilding the automaton for a resumed valuation reproduces the
-    /// exact atom numbering and NBA states its frozen frontier refers to.
+    /// the run report, and multi-leg checkpointing all live here.
+    /// Grounding and translation are deterministic, so rebuilding the
+    /// automaton for a resumed valuation reproduces the exact atom
+    /// numbering and NBA states its frozen frontier refers to.
     #[allow(clippy::too_many_lines)]
     fn run_universal_closure(
         &self,
@@ -983,7 +1091,7 @@ impl Verifier {
         run: ClosureRun<'_>,
     ) -> Result<Report, VerifyError> {
         let ClosureRun {
-            property,
+            goal,
             observed,
             domain,
             base_db,
@@ -994,8 +1102,8 @@ impl Verifier {
             stats_base,
             valuations_total,
         } = run;
-        let negated_body = ddws_logic::LtlFo::not(property.body.clone());
-        let reduction = reduction_oracle(&self.comp, &property.body, observed, opts);
+        let negated_body = goal.property().map(|p| LtlFo::not(p.body.clone()));
+        let reduction = goal.reduction(&self.comp, observed, opts);
         let shards = crate::scheduler::effective_shards(opts);
         // The inner engines split the remaining thread budget so
         // `opts.threads` bounds total engine parallelism, not
@@ -1005,15 +1113,20 @@ impl Verifier {
             ..opts.clone()
         };
         let cache = crate::scheduler::NbaCache::new();
-        // One column-domain analysis per run decides the vacuous
+        // One column-domain analysis per property run decides the vacuous
         // valuations before any search (DESIGN.md §3.13.1). A single
         // valuation has nothing to skip, so the analysis only runs for a
         // real closure. An empty fact universe means the runs range over
         // the fixed `base_db` alone.
-        let analysis_start = Instant::now();
-        let domains = (valuations_total >= 2)
-            .then(|| ColumnDomains::analyze(&self.comp, universe.is_empty().then_some(&base_db)));
-        meta.nba_ns += analysis_start.elapsed().as_nanos() as u64;
+        let domains = if matches!(goal, Goal::Property(_)) && valuations_total >= 2 {
+            let analysis_start = Instant::now();
+            let domains =
+                ColumnDomains::analyze(&self.comp, universe.is_empty().then_some(&base_db));
+            meta.nba_ns += analysis_start.elapsed().as_nanos() as u64;
+            Some(domains)
+        } else {
+            None
+        };
         let limits = meta.limits(opts);
         let deterministic = crate::scheduler::deterministic_mode(opts);
         let mut resumes: Vec<Option<EngineCheckpoint<PState>>> =
@@ -1029,27 +1142,39 @@ impl Verifier {
                       resume: Option<EngineCheckpoint<PState>>,
                       limits: &ddws_automata::SearchLimits|
          -> crate::scheduler::TaskOutput {
-            let nba_start = Instant::now();
-            // A resumed leg was live when it was frozen; only fresh
-            // valuations can fold away.
-            if resume.is_none()
-                && domains
-                    .as_ref()
-                    .is_some_and(|d| d.is_vacuous(&negated_body, valuation))
-            {
-                cache.add_ns(nba_start.elapsed().as_nanos() as u64);
-                return crate::scheduler::TaskOutput {
-                    stats: SearchStats {
-                        valuations_vacuous: 1,
-                        ..SearchStats::default()
-                    },
-                    verdict: crate::scheduler::TaskVerdict::Holds,
-                };
-            }
             let mut atoms = AtomRegistry::new();
-            let ltl: Ltl = ground_ltlfo(&negated_body, valuation, &mut atoms);
-            let nba = cache.translate(&ltl);
-            cache.add_ns(nba_start.elapsed().as_nanos() as u64);
+            let nba = match (&goal, &negated_body) {
+                (Goal::Protocol { nba, guards, .. }, _) => {
+                    for g in *guards {
+                        atoms.push(g.substitute(&|v| valuation.get(&v).copied()));
+                    }
+                    Arc::clone(nba)
+                }
+                (_, Some(negated_body)) => {
+                    let nba_start = Instant::now();
+                    // A resumed leg was live when it was frozen; only fresh
+                    // valuations can fold away.
+                    if resume.is_none()
+                        && domains
+                            .as_ref()
+                            .is_some_and(|d| d.is_vacuous(negated_body, valuation))
+                    {
+                        cache.add_ns(nba_start.elapsed().as_nanos() as u64);
+                        return crate::scheduler::TaskOutput {
+                            stats: SearchStats {
+                                valuations_vacuous: 1,
+                                ..SearchStats::default()
+                            },
+                            verdict: crate::scheduler::TaskVerdict::Holds,
+                        };
+                    }
+                    let ltl = goal.ground(negated_body, valuation, &mut atoms);
+                    let nba = cache.translate(&ltl);
+                    cache.add_ns(nba_start.elapsed().as_nanos() as u64);
+                    nba
+                }
+                (_, None) => unreachable!("property goals negate their body"),
+            };
             let mut system =
                 ProductSystem::new(comp, &base_db, &universe, &domain, &nba, &atoms, &shared);
             if let Some(ind) = &reduction {
@@ -1076,7 +1201,7 @@ impl Verifier {
                         &system,
                         &base_db,
                         &universe,
-                        &property.universal_vars,
+                        goal.universal_vars(),
                         valuation,
                         lasso.prefix,
                         lasso.cycle,
@@ -1112,21 +1237,13 @@ impl Verifier {
             stats.nba_cache_misses = cache.misses();
             stats
         };
-        match outcome {
+        let (outcome, stats, per_shard, telemetry) = match outcome {
             crate::scheduler::ShardOutcome::AllHold { stats, per_shard } => {
                 let stats = fold(&stats);
                 let telemetry = meta.finish(opts, "holds", &stats, domain.len(), valuations_total);
-                Ok(Report {
-                    outcome: Outcome::Holds,
-                    stats,
-                    domain,
-                    valuations_checked: valuations_total,
-                    shard_valuations: per_shard,
-                    telemetry,
-                })
+                (Outcome::Holds, stats, per_shard, telemetry)
             }
             crate::scheduler::ShardOutcome::Violated {
-                index: _,
                 cex,
                 cex_ns,
                 stats,
@@ -1136,17 +1253,9 @@ impl Verifier {
                 meta.cex_ns += cex_ns;
                 let telemetry =
                     meta.finish(opts, "violated", &stats, domain.len(), valuations_total);
-                Ok(Report {
-                    outcome: Outcome::Violated(cex),
-                    stats,
-                    domain,
-                    valuations_checked: valuations_total,
-                    shard_valuations: per_shard,
-                    telemetry,
-                })
+                (Outcome::Violated(cex), stats, per_shard, telemetry)
             }
             crate::scheduler::ShardOutcome::Stopped {
-                index: _,
                 reason,
                 stats,
                 stats_prior,
@@ -1155,39 +1264,41 @@ impl Verifier {
                 per_shard,
             } => {
                 let stats = fold(&stats);
-                if let AbortReason::WorkerPanicked { worker, payload } = &reason {
-                    let report = meta.finish_abort(
-                        opts,
-                        &reason,
-                        false,
-                        &stats,
-                        domain.len(),
-                        valuations_total,
-                    );
-                    return Err(VerifyError::WorkerPanicked {
-                        worker: *worker,
-                        payload: payload.clone(),
-                        report: Box::new(report),
-                    });
-                }
-                // Anything left to verify makes the stop resumable — even
-                // with no in-flight legs, the remaining valuations rerun
-                // as fresh searches (that is exactly what resume does for
-                // the untouched tail).
-                let resumable = !remaining.is_empty();
+                // Only a property run captures a checkpoint: the modular
+                // and protocol set-up (spec translation, complementation,
+                // guard grounding) is cheap to redo, so a fresh call with
+                // laxer limits is their resume path. Anything left to
+                // verify makes a property stop resumable — even with no
+                // in-flight legs, the remaining valuations rerun as fresh
+                // searches (exactly what resume does for the untouched
+                // tail). A panic is never resumable.
+                let panicked = matches!(reason, AbortReason::WorkerPanicked { .. });
+                let property = match &goal {
+                    Goal::Property(property) if !panicked && !remaining.is_empty() => {
+                        Some(property)
+                    }
+                    _ => None,
+                };
                 let telemetry = meta.finish_abort(
                     opts,
                     &reason,
-                    resumable,
+                    property.is_some(),
                     &stats,
                     domain.len(),
                     valuations_total,
                 );
-                let checkpoint = if resumable {
+                if let AbortReason::WorkerPanicked { worker, payload } = reason {
+                    return Err(VerifyError::WorkerPanicked {
+                        worker,
+                        payload,
+                        report: Box::new(telemetry),
+                    });
+                }
+                let checkpoint = property.map(|property| {
                     let mut prior = stats_base;
                     prior.absorb(&stats_prior);
-                    Some(Checkpoint {
-                        property: property.clone(),
+                    Checkpoint {
+                        property: (*property).clone(),
                         observed: observed.clone(),
                         domain: domain.clone(),
                         base_db,
@@ -1202,27 +1313,32 @@ impl Verifier {
                         state_repr: opts.state_repr,
                         threads: opts.threads,
                         valuation_threads: opts.valuation_threads,
-                    })
-                } else {
-                    None
-                };
-                Ok(Report {
-                    outcome: Outcome::Inconclusive(Box::new(Inconclusive { reason, checkpoint })),
+                    }
+                });
+                let inconclusive = Inconclusive { reason, checkpoint };
+                (
+                    Outcome::Inconclusive(Box::new(inconclusive)),
                     stats,
-                    domain,
-                    valuations_checked: valuations_total,
-                    shard_valuations: per_shard,
+                    per_shard,
                     telemetry,
-                })
+                )
             }
-        }
+        };
+        Ok(Report {
+            outcome,
+            stats,
+            domain,
+            valuations_checked: valuations_total,
+            shard_valuations: per_shard,
+            telemetry,
+        })
     }
 }
 
 /// Rebuilds a [`Counterexample`] from a product lasso: fork (oracle-growth)
 /// pseudo-steps are elided, the final oracle is materialized as the
 /// witnessing database.
-pub(crate) fn build_counterexample(
+fn build_counterexample(
     system: &ProductSystem<'_>,
     base_db: &Instance,
     universe: &FactUniverse,

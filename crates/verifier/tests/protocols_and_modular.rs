@@ -211,6 +211,39 @@ fn data_aware_guard_detects_violations() {
     assert!(!report.outcome.holds());
 }
 
+#[test]
+fn data_aware_violation_reports_the_whole_closure() {
+    // A free guard variable: one product search per valuation of `x` over
+    // {a, b, fresh}. Only x = b is violated, so the winning valuation is
+    // not the last one — `valuations_checked` is still the closure size.
+    let mut v = Verifier::new(req_resp(true));
+    let db = db_with(&mut v, "P.d", &["a", "b"]);
+    let nba = {
+        let mut nba = Nba::new(1, 1);
+        nba.add_initial(0);
+        nba.add_transition(0, Guard::require(0), 0);
+        nba.accepting[0] = true;
+        nba
+    };
+    let protocol = DataAwareProtocol::new(
+        v.composition_mut(),
+        &[("req_is_a", "P.!req(x) -> x = \"a\"")],
+        nba,
+    )
+    .unwrap();
+    let b = v.composition_mut().symbols.intern("b");
+    let report = v.check_data_aware(&protocol, &opts(db)).unwrap();
+    match &report.outcome {
+        Outcome::Violated(cex) => {
+            let bound: Vec<_> = cex.valuation.iter().map(|&(_, value)| value).collect();
+            assert_eq!(bound, vec![b], "the violating valuation binds x = b");
+        }
+        other => panic!("expected violation, got {other:?}"),
+    }
+    assert_eq!(report.valuations_checked, 3, "a, b and one fresh value");
+    assert_eq!(report.telemetry.valuations_checked, 3);
+}
+
 // --- modular verification (Theorem 5.4) ----------------------------------
 
 #[test]

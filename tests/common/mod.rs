@@ -6,7 +6,10 @@
 #![allow(dead_code)]
 #![allow(unused_imports)]
 
+use ddws_model::{builder::ENV, CompositionBuilder, QueueKind};
 use ddws_model::{CompiledRules, Config, EvalCtx, RuleCache, StatePool};
+use ddws_protocol::{automata_shapes, DataAgnosticProtocol, DataAwareProtocol, Observer};
+use ddws_relational::{Instance, Tuple};
 use ddws_testkit::compgen;
 use ddws_testkit::rng::XorShift;
 use ddws_verifier::{
@@ -445,5 +448,98 @@ pub fn repr_agrees(case: &compgen::Case) {
                 }
             }
         }
+    }
+}
+
+// --- Entry-point fixtures (tests/telemetry_invariants.rs, tests/differential.rs) ---
+
+/// The open officer composition from examples/modular_loan — `O` asks the
+/// environment for ratings — plus its one-customer database.
+pub fn modular_fixture() -> (Verifier, Instance) {
+    let mut b = CompositionBuilder::new();
+    b.channel("getRating", 1, QueueKind::Flat, "O", ENV);
+    b.channel("rating", 2, QueueKind::Flat, ENV, "O");
+    b.peer("O")
+        .database("customer", 2)
+        .state("rated", 2)
+        .input("check", 1)
+        .input_rule("check", &["ssn"], "exists id: customer(id, ssn)")
+        .send_rule("getRating", &["ssn"], "check(ssn)")
+        .state_insert_rule("rated", &["ssn", "r"], "?rating(ssn, r)");
+    let mut v = Verifier::new(b.build().expect("open composition"));
+    let mut db = Instance::empty(&v.composition().voc);
+    let c1 = v.composition_mut().symbols.intern("c1");
+    let s1 = v.composition_mut().symbols.intern("s1");
+    let customer = v.composition().voc.lookup("O.customer").unwrap();
+    db.relation_mut(customer).insert(Tuple::new(vec![c1, s1]));
+    (v, db)
+}
+
+pub const MODULAR_PROP: &str = "G (forall ssn, r: O.?rating(ssn, r) -> \
+    (r = \"poor\" or r = \"fair\" or r = \"good\" or r = \"excellent\"))";
+pub const MODULAR_SPEC: &str = "G (forall ssn, r: ENV.!rating(ssn, r) -> \
+    (r = \"poor\" or r = \"fair\" or r = \"good\" or r = \"excellent\"))";
+
+/// The request/response composition from examples/protocol_check, with a
+/// database backing one fair rating.
+pub fn protocol_fixture() -> (Verifier, Instance) {
+    let mut b = CompositionBuilder::new();
+    b.channel("getRating", 1, QueueKind::Flat, "O", "CR");
+    b.channel("rating", 2, QueueKind::Flat, "CR", "O");
+    b.peer("O")
+        .database("customer", 1)
+        .input("check", 1)
+        .input_rule("check", &["ssn"], "customer(ssn)")
+        .send_rule("getRating", &["ssn"], "check(ssn)");
+    b.peer("CR").database("creditRating", 2).send_rule(
+        "rating",
+        &["ssn", "cat"],
+        "?getRating(ssn) and creditRating(ssn, cat)",
+    );
+    let mut v = Verifier::new(b.build().expect("composition"));
+    let mut db = Instance::empty(&v.composition().voc);
+    let s1 = v.composition_mut().symbols.intern("s1");
+    let fair = v.composition_mut().symbols.intern("fair");
+    let customer = v.composition().voc.lookup("O.customer").unwrap();
+    let credit = v.composition().voc.lookup("CR.creditRating").unwrap();
+    db.relation_mut(customer).insert(Tuple::new(vec![s1]));
+    db.relation_mut(credit).insert(Tuple::new(vec![s1, fair]));
+    (v, db)
+}
+
+/// G(getRating → F rating) observed at the recipient — violated under
+/// lossy channels.
+pub fn response_protocol(v: &Verifier) -> DataAgnosticProtocol {
+    DataAgnosticProtocol::new(
+        v.composition(),
+        &["getRating", "rating"],
+        automata_shapes::response(2, 0, 1),
+        Observer::AtRecipient,
+    )
+    .unwrap()
+}
+
+/// "Every rating message is database-backed", over a single-state
+/// automaton with an accepting self-loop (so the product search actually
+/// explores the composition).
+pub fn db_backed_protocol(v: &mut Verifier) -> DataAwareProtocol {
+    use ddws_automata::{Guard, Nba};
+    let aware = DataAwareProtocol::new(
+        v.composition_mut(),
+        &[(
+            "rating_is_db_backed",
+            "forall ssn, cat: CR.!rating(ssn, cat) -> CR.creditRating(ssn, cat)",
+        )],
+        automata_shapes::universal(1),
+    )
+    .unwrap();
+    let mut nba = Nba::new(1, 1);
+    nba.add_initial(0);
+    nba.add_transition(0, Guard::require(0), 0);
+    nba.accepting[0] = true;
+    DataAwareProtocol {
+        symbols: aware.symbols,
+        guards: aware.guards,
+        automaton: nba,
     }
 }

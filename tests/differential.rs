@@ -17,8 +17,12 @@
 //! * state budgets bind every engine, with overshoot bounded by the
 //!   worker count, and budget aborts carry `truncated` statistics.
 
+mod common;
+
 use ddws::scenarios::{bank_loan, chains, ecommerce, travel};
+use ddws_automata::{Guard, Nba};
 use ddws_model::Semantics;
+use ddws_protocol::{automata_shapes, DataAwareProtocol};
 use ddws_relational::Instance;
 use ddws_verifier::{
     AbortReason, BufferReporter, DatabaseMode, Outcome, Reduction, ReporterHandle, RuleEval,
@@ -493,6 +497,123 @@ fn multi_shard_checkpoint_resumes_to_the_verdict() {
         resumed.stats.states_visited, baseline.stats.states_visited,
         "a multi-leg resume revisits nothing and skips nothing"
     );
+}
+
+/// "Every rating message carries the `poor` category", with the message
+/// fields free: one product search per canonical (ssn, cat) valuation of
+/// the protocol fixture's domain. Only the valuation binding the one
+/// database-backed rating, (s1, fair), is violated, and it is neither the
+/// first nor the last valuation — the winner rule has work on both sides.
+fn poor_only_protocol(v: &mut Verifier) -> DataAwareProtocol {
+    let aware = DataAwareProtocol::new(
+        v.composition_mut(),
+        &[("rating_is_poor", "CR.!rating(ssn, cat) -> cat = \"poor\"")],
+        automata_shapes::universal(1),
+    )
+    .unwrap();
+    let mut nba = Nba::new(1, 1);
+    nba.add_initial(0);
+    nba.add_transition(0, Guard::require(0), 0);
+    nba.accepting[0] = true;
+    DataAwareProtocol {
+        symbols: aware.symbols,
+        guards: aware.guards,
+        automaton: nba,
+    }
+}
+
+/// The modular fixture's rating property as a closure over the rating
+/// category, narrowed to `fair`: violated at the first category the spec
+/// lets the environment send (`poor`), with non-rating valuations before
+/// it and the other ratings after it.
+const MODULAR_CLOSURE_VIOLATED: &str =
+    "forall r: G (forall ssn: O.?rating(ssn, r) -> r = \"fair\")";
+
+#[test]
+fn modular_and_protocol_reports_are_shard_count_independent() {
+    // The determinism contract of `valuation_shard_reports_are_byte_identical`
+    // for the entry points that are not `check`: verdict, counterexample,
+    // `valuations_checked` and the redacted run report are byte-identical
+    // across outer shard counts and the cooperative scheduler, on the
+    // sequential and a parallel engine.
+    enum Cell {
+        Modular(&'static str),
+        Aware(fn(&mut Verifier) -> DataAwareProtocol),
+    }
+    let run = |cell: &Cell, opts: &mut VerifyOptions| match cell {
+        Cell::Modular(property) => {
+            let (mut v, db) = common::modular_fixture();
+            opts.database = DatabaseMode::Fixed(db);
+            let property = v.parse_property(property).unwrap();
+            let spec = v.parse_env_spec(common::MODULAR_SPEC).unwrap();
+            v.check_modular(&property, &spec, opts)
+                .expect("modular check completes")
+        }
+        Cell::Aware(protocol) => {
+            let (mut v, db) = common::protocol_fixture();
+            opts.database = DatabaseMode::Fixed(db);
+            let protocol = protocol(&mut v);
+            v.check_data_aware(&protocol, opts)
+                .expect("data-aware check completes")
+        }
+    };
+    let cases = [
+        ("modular_fixture", true, Cell::Modular(common::MODULAR_PROP)),
+        (
+            "modular_closure",
+            false,
+            Cell::Modular(MODULAR_CLOSURE_VIOLATED),
+        ),
+        (
+            "aware_db_backed",
+            true,
+            Cell::Aware(common::db_backed_protocol),
+        ),
+        ("aware_poor_only", false, Cell::Aware(poor_only_protocol)),
+    ];
+    let modes: [(&str, Option<usize>, bool); 4] = [
+        ("vt=None", None, false),
+        ("vt=2", Some(2), false),
+        ("vt=4", Some(4), false),
+        ("cooperative vt=2", Some(2), true),
+    ];
+    for (name, expect_holds, cell) in &cases {
+        for threads in [None, Some(2)] {
+            let fingerprint = |valuation_threads: Option<usize>, cooperative: bool| {
+                let mut opts = VerifyOptions {
+                    fresh_values: Some(1),
+                    threads,
+                    valuation_threads,
+                    ..VerifyOptions::default()
+                };
+                if cooperative {
+                    // A hook that never fires switches the scheduler to its
+                    // deterministic round-robin without perturbing a search.
+                    opts.fault_hook = Some(Arc::new(|_| {}));
+                }
+                let report = run(cell, &mut opts);
+                let cex = match &report.outcome {
+                    Outcome::Violated(cex) => Some(format!("{cex:?}")),
+                    _ => None,
+                };
+                (
+                    report.outcome.holds(),
+                    cex,
+                    report.valuations_checked,
+                    report.telemetry.redacted().to_json(),
+                )
+            };
+            let baseline = fingerprint(None, false);
+            assert_eq!(baseline.0, *expect_holds, "{name} threads={threads:?}");
+            for (mode, valuation_threads, cooperative) in modes {
+                assert_eq!(
+                    fingerprint(valuation_threads, cooperative),
+                    baseline,
+                    "{name} threads={threads:?} {mode}: drifted from the unsharded run"
+                );
+            }
+        }
+    }
 }
 
 #[test]

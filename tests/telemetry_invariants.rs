@@ -24,14 +24,14 @@
 mod common;
 
 use ddws::scenarios::{bank_loan, chains, ecommerce, travel};
-use ddws_model::{builder::ENV, CompositionBuilder, QueueKind, Semantics};
-use ddws_protocol::{automata_shapes, DataAgnosticProtocol, DataAwareProtocol, Observer};
-use ddws_relational::{Instance, Tuple};
+use ddws_model::Semantics;
+use ddws_relational::Instance;
 use ddws_telemetry::validate_run_report;
+use ddws_testkit::faults::{FaultPlan, INJECTED_PANIC};
 use ddws_testkit::{compgen, gen, seed_from};
 use ddws_verifier::{
     BufferReporter, CancelToken, Counters, DatabaseMode, Outcome, Reduction, Report,
-    ReporterHandle, RunReport, StateRepr, Verifier, VerifyOptions,
+    ReporterHandle, RunReport, StateRepr, Verifier, VerifyError, VerifyOptions,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -427,103 +427,16 @@ fn stats_invariants_hold_on_the_scenario_library() {
     }
 }
 
-/// The open officer composition from examples/modular_loan — `O` asks the
-/// environment for ratings — plus its one-customer database.
-fn modular_fixture() -> (Verifier, Instance) {
-    let mut b = CompositionBuilder::new();
-    b.channel("getRating", 1, QueueKind::Flat, "O", ENV);
-    b.channel("rating", 2, QueueKind::Flat, ENV, "O");
-    b.peer("O")
-        .database("customer", 2)
-        .state("rated", 2)
-        .input("check", 1)
-        .input_rule("check", &["ssn"], "exists id: customer(id, ssn)")
-        .send_rule("getRating", &["ssn"], "check(ssn)")
-        .state_insert_rule("rated", &["ssn", "r"], "?rating(ssn, r)");
-    let mut v = Verifier::new(b.build().expect("open composition"));
-    let mut db = Instance::empty(&v.composition().voc);
-    let c1 = v.composition_mut().symbols.intern("c1");
-    let s1 = v.composition_mut().symbols.intern("s1");
-    let customer = v.composition().voc.lookup("O.customer").unwrap();
-    db.relation_mut(customer).insert(Tuple::new(vec![c1, s1]));
-    (v, db)
-}
-
-const MODULAR_PROP: &str = "G (forall ssn, r: O.?rating(ssn, r) -> \
-    (r = \"poor\" or r = \"fair\" or r = \"good\" or r = \"excellent\"))";
-const MODULAR_SPEC: &str = "G (forall ssn, r: ENV.!rating(ssn, r) -> \
-    (r = \"poor\" or r = \"fair\" or r = \"good\" or r = \"excellent\"))";
-
-/// The request/response composition from examples/protocol_check, with a
-/// database backing one fair rating.
-fn protocol_fixture() -> (Verifier, Instance) {
-    let mut b = CompositionBuilder::new();
-    b.channel("getRating", 1, QueueKind::Flat, "O", "CR");
-    b.channel("rating", 2, QueueKind::Flat, "CR", "O");
-    b.peer("O")
-        .database("customer", 1)
-        .input("check", 1)
-        .input_rule("check", &["ssn"], "customer(ssn)")
-        .send_rule("getRating", &["ssn"], "check(ssn)");
-    b.peer("CR").database("creditRating", 2).send_rule(
-        "rating",
-        &["ssn", "cat"],
-        "?getRating(ssn) and creditRating(ssn, cat)",
-    );
-    let mut v = Verifier::new(b.build().expect("composition"));
-    let mut db = Instance::empty(&v.composition().voc);
-    let s1 = v.composition_mut().symbols.intern("s1");
-    let fair = v.composition_mut().symbols.intern("fair");
-    let customer = v.composition().voc.lookup("O.customer").unwrap();
-    let credit = v.composition().voc.lookup("CR.creditRating").unwrap();
-    db.relation_mut(customer).insert(Tuple::new(vec![s1]));
-    db.relation_mut(credit).insert(Tuple::new(vec![s1, fair]));
-    (v, db)
-}
-
-/// G(getRating → F rating) observed at the recipient — violated under
-/// lossy channels.
-fn response_protocol(v: &Verifier) -> DataAgnosticProtocol {
-    DataAgnosticProtocol::new(
-        v.composition(),
-        &["getRating", "rating"],
-        automata_shapes::response(2, 0, 1),
-        Observer::AtRecipient,
-    )
-    .unwrap()
-}
-
-/// "Every rating message is database-backed", over a single-state
-/// automaton with an accepting self-loop (so the product search actually
-/// explores the composition).
-fn db_backed_protocol(v: &mut Verifier) -> DataAwareProtocol {
-    use ddws_automata::{Guard, Nba};
-    let aware = DataAwareProtocol::new(
-        v.composition_mut(),
-        &[(
-            "rating_is_db_backed",
-            "forall ssn, cat: CR.!rating(ssn, cat) -> CR.creditRating(ssn, cat)",
-        )],
-        automata_shapes::universal(1),
-    )
-    .unwrap();
-    let mut nba = Nba::new(1, 1);
-    nba.add_initial(0);
-    nba.add_transition(0, Guard::require(0), 0);
-    nba.accepting[0] = true;
-    DataAwareProtocol {
-        symbols: aware.symbols,
-        guards: aware.guards,
-        automaton: nba,
-    }
-}
-
 /// Asserts the report validates against the documented schema and carries
 /// the expected entry-point label, returning it for further checks.
 // One report per run, schema-valid, round-trippable, coherent counters,
 // pinned entry point and outcome label — shared with the fault swarm and
 // the deterministic simulator.
 use common::assert_labelled;
+use common::{
+    db_backed_protocol, modular_fixture, protocol_fixture, response_protocol, MODULAR_PROP,
+    MODULAR_SPEC,
+};
 
 #[test]
 fn every_entry_point_emits_a_labelled_report() {
@@ -609,22 +522,58 @@ fn every_entry_point_emits_a_labelled_report() {
 
 #[test]
 fn abort_reports_are_labelled_on_every_entry_point() {
+    common::silence_injected_panics();
     let buf = Arc::new(BufferReporter::new());
 
     // Each abort trigger as an options mutation. `max_states: 1` trips on
     // every entry point (each product search visits at least two states);
-    // the other two stop the search before its first expansion.
+    // the deadline and cancel stops fire before the first expansion, and
+    // the injected panic at the first expansion.
     let arm = |label: &str, opts: &mut VerifyOptions| match label {
         "budget_exceeded" => opts.max_states = 1,
         "deadline_exceeded" => opts.deadline = Some(Duration::ZERO),
+        "worker_panicked" => opts.fault_hook = FaultPlan::Panic(1).arm().hook,
         _ => {
             let token = CancelToken::new();
             token.cancel("cancelled before the run");
             opts.cancel_token = Some(token);
         }
     };
-    let assert_abort = |reports: Vec<RunReport>, entry: &str, label: &str, resumable: bool| {
+    // A graceful stop is an `Ok` Inconclusive report (with a checkpoint
+    // exactly when the entry point is resumable); a panic is
+    // `Err(WorkerPanicked)` carrying the report the reporter saw. Either
+    // way exactly one schema-valid report is emitted, labelled for the
+    // stop, with partial counters.
+    let assert_abort = |result: Result<Report, VerifyError>,
+                        entry: &str,
+                        label: &str,
+                        resumable: bool|
+     -> RunReport {
+        let reports = buf.take_reports();
+        let resumable = resumable && label != "worker_panicked";
+        let attached = match result {
+            Ok(report) => {
+                assert!(
+                    matches!(&report.outcome, Outcome::Inconclusive(inc)
+                        if inc.checkpoint.is_some() == resumable),
+                    "{entry}/{label}: got {:?}",
+                    report.outcome
+                );
+                report.telemetry
+            }
+            Err(VerifyError::WorkerPanicked {
+                payload, report, ..
+            }) => {
+                assert!(
+                    payload.contains(INJECTED_PANIC),
+                    "{entry}/{label}: unexpected panic {payload}"
+                );
+                *report
+            }
+            Err(e) => panic!("{entry}/{label}: unexpected error {e}"),
+        };
         let r = assert_labelled(reports, entry, label);
+        assert_eq!(r, attached, "{entry}/{label}: reporter copy differs");
         assert!(
             r.counters.truncated,
             "{entry}/{label}: partial counters not flagged"
@@ -635,11 +584,17 @@ fn abort_reports_are_labelled_on_every_entry_point() {
             .unwrap_or_else(|| panic!("{entry}/{label}: abort object missing"));
         assert_eq!(abort.reason, label, "{entry}");
         assert_eq!(abort.resumable, resumable, "{entry}/{label}");
+        r
     };
 
-    for label in ["budget_exceeded", "deadline_exceeded", "cancelled"] {
-        // `check`: aborts capture a frontier checkpoint, so they are
-        // resumable.
+    for label in [
+        "budget_exceeded",
+        "deadline_exceeded",
+        "cancelled",
+        "worker_panicked",
+    ] {
+        // `check`: graceful stops capture a frontier checkpoint, so they
+        // are resumable.
         {
             let mut v = Verifier::new(chains::composition(3, true, Semantics::default()));
             let db = chains::database(v.composition_mut(), 2);
@@ -650,25 +605,17 @@ fn abort_reports_are_labelled_on_every_entry_point() {
                 ..VerifyOptions::default()
             };
             arm(label, &mut opts);
-            let report = v
-                .check_str(&chains::prop_integrity(3), &opts)
-                .expect("an abort is a report, not an error");
-            assert!(
-                matches!(&report.outcome, Outcome::Inconclusive(inc) if inc.checkpoint.is_some()),
-                "check/{label}: expected a resumable Inconclusive, got {:?}",
-                report.outcome
-            );
-            let reports = buf.take_reports();
+            let result = v.check_str(&chains::prop_integrity(3), &opts);
+            let report = assert_abort(result, "check", label, true);
             // The bench harness relabels a verifier report as its own
             // entry point before validating it into the bench artifact;
             // abort reports must survive that relabelling.
             let bench = RunReport {
                 entry_point: "bench".into(),
-                ..reports[0].clone()
+                ..report
             };
             validate_run_report(&bench.to_json_value())
                 .unwrap_or_else(|e| panic!("bench/{label}: schema violation: {e}"));
-            assert_abort(reports, "check", label, true);
         }
 
         // `check_modular`: aborts are final — the spec translation is
@@ -684,15 +631,8 @@ fn abort_reports_are_labelled_on_every_entry_point() {
             arm(label, &mut opts);
             let property = v.parse_property(MODULAR_PROP).unwrap();
             let spec = v.parse_env_spec(MODULAR_SPEC).unwrap();
-            let report = v
-                .check_modular(&property, &spec, &opts)
-                .expect("an abort is a report, not an error");
-            assert!(
-                matches!(&report.outcome, Outcome::Inconclusive(inc) if inc.checkpoint.is_none()),
-                "check_modular/{label}: got {:?}",
-                report.outcome
-            );
-            assert_abort(buf.take_reports(), "check_modular", label, false);
+            let result = v.check_modular(&property, &spec, &opts);
+            assert_abort(result, "check_modular", label, false);
         }
 
         // The protocol entry points, likewise final.
@@ -707,26 +647,12 @@ fn abort_reports_are_labelled_on_every_entry_point() {
             arm(label, &mut opts);
 
             let response = response_protocol(&v);
-            let report = v
-                .check_data_agnostic(&response, &opts)
-                .expect("an abort is a report, not an error");
-            assert!(
-                report.outcome.is_inconclusive(),
-                "protocol_data_agnostic/{label}: got {:?}",
-                report.outcome
-            );
-            assert_abort(buf.take_reports(), "protocol_data_agnostic", label, false);
+            let result = v.check_data_agnostic(&response, &opts);
+            assert_abort(result, "protocol_data_agnostic", label, false);
 
             let aware = db_backed_protocol(&mut v);
-            let report = v
-                .check_data_aware(&aware, &opts)
-                .expect("an abort is a report, not an error");
-            assert!(
-                report.outcome.is_inconclusive(),
-                "protocol_data_aware/{label}: got {:?}",
-                report.outcome
-            );
-            assert_abort(buf.take_reports(), "protocol_data_aware", label, false);
+            let result = v.check_data_aware(&aware, &opts);
+            assert_abort(result, "protocol_data_aware", label, false);
         }
     }
 }
