@@ -21,9 +21,7 @@
 use ddws::scenarios::chains;
 use ddws_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ddws_model::Semantics;
-use ddws_verifier::{
-    validate_run_report, DatabaseMode, Report, RuleEval, RunReport, Verifier, VerifyOptions,
-};
+use ddws_verifier::{DatabaseMode, Report, RuleEval, RunReport, Verifier, VerifyOptions};
 use std::time::Instant;
 
 const ENGINES: [(&str, Option<usize>); 2] = [("seq", None), ("par2", Some(2))];
@@ -171,13 +169,15 @@ fn acceptance() {
         ..bench_report.expect("at least one compiled sample")
     };
     let report_json = bench_report.to_json();
-    let parsed = ddws_telemetry::Json::parse(&report_json).expect("bench report JSON parses");
-    validate_run_report(&parsed).expect("bench report validates against the schema");
+    RunReport::from_json(&report_json).expect("bench report validates against the schema");
 
+    // E10 has no reduced scale: every run is a full-scale one.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
-        "{{\n  \"experiment\": \"e10_rule_kernels\",\n  \"scenario\": {{\n    \
+        "{{\n  \"experiment\": \"e10_rule_kernels\",\n  \"cores\": {cores},\n  \
+         \"mode\": \"full\",\n  \"samples\": {samples},\n  \"scenario\": {{\n    \
          \"peers\": {PEERS},\n    \"ring\": {RING},\n    \"tokens\": {TOKENS}\n  }},\n  \
-         \"samples\": {samples},\n  \"engines\": {{\n{}\n  }},\n  \
+         \"engines\": {{\n{}\n  }},\n  \
          \"run_report\": {report_json}\n}}\n",
         rows.join(",\n")
     );

@@ -21,8 +21,7 @@ use ddws::scenarios::chains;
 use ddws_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ddws_model::Semantics;
 use ddws_verifier::{
-    validate_run_report, DatabaseMode, JsonLinesReporter, Report, ReporterHandle, RunReport,
-    Verifier, VerifyOptions,
+    DatabaseMode, JsonLinesReporter, Report, ReporterHandle, RunReport, Verifier, VerifyOptions,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -176,13 +175,15 @@ fn acceptance() {
         ..bench_report.expect("at least one silent sample")
     };
     let json = bench_report.to_json();
-    let parsed = ddws_telemetry::Json::parse(&json).expect("bench report JSON parses");
-    validate_run_report(&parsed).expect("bench report validates against the schema");
+    RunReport::from_json(&json).expect("bench report validates against the schema");
 
+    // E11 has no reduced scale: every run is a full-scale one.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let out = format!(
-        "{{\n  \"experiment\": \"e11_telemetry_overhead\",\n  \"scenario\": {{\n    \
+        "{{\n  \"experiment\": \"e11_telemetry_overhead\",\n  \"cores\": {cores},\n  \
+         \"mode\": \"full\",\n  \"samples\": {samples},\n  \"scenario\": {{\n    \
          \"peers\": {PEERS},\n    \"ring\": {RING},\n    \"tokens\": {TOKENS}\n  }},\n  \
-         \"samples\": {samples},\n  \"engines\": {{\n{}\n  }},\n  \
+         \"engines\": {{\n{}\n  }},\n  \
          \"run_report\": {json}\n}}\n",
         rows.join(",\n")
     );

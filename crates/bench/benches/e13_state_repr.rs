@@ -41,12 +41,13 @@
 //! workspace root records both before/afters phase by phase, with the
 //! host's core count, the mode and the sample count.
 
+use ddws::scenarios::chains;
 use ddws_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ddws_model::{Composition, CompositionBuilder, QueueKind, Semantics};
-use ddws_relational::{Instance, Tuple};
+use ddws_model::Composition;
+use ddws_relational::Instance;
 use ddws_verifier::{
-    validate_run_report, DatabaseMode, Outcome, Reduction, Report, RuleEval, RunReport, StateRepr,
-    Verifier, VerifyOptions,
+    DatabaseMode, Outcome, Reduction, Report, RuleEval, RunReport, StateRepr, Verifier,
+    VerifyOptions,
 };
 use std::time::Instant;
 
@@ -104,84 +105,12 @@ fn workloads(smoke: bool) -> Vec<Workload> {
     }
 }
 
-/// The state-heavy relay chain: P0 emits tokens from its database over a
-/// nested channel, P1 joins them against its private `mine` rows into the
-/// arity-2 accumulator `seen2` and ships the whole extension downstream
-/// (again nested), P2 records what arrived. With `ring ≥ 2`, P1 also
-/// carries a phase rotor and a `mark` audit rule reading `seen2`, giving
-/// the rule-dense E10 shape on top of the heavy extensions. With `twin`,
-/// P0's unread `order` relation chains the tokens and the private rows,
-/// which breaks every value symmetry.
+/// The state-heavy relay chain ([`chains::nested_relay`]) with E13's
+/// property. With `ring ≥ 2`, P1 carries the phase rotor of the
+/// rule-dense E10 shape; with `twin`, P0's unread `order` relation breaks
+/// every value symmetry.
 fn state_heavy(m: usize, ring: usize, twin: bool) -> (Composition, Instance, String) {
-    let mut b = CompositionBuilder::new();
-    b.semantics(Semantics::default());
-    b.default_lossy(true);
-    b.channel("hop", 1, QueueKind::Nested, "P0", "P1");
-    b.channel("rep", 2, QueueKind::Nested, "P1", "P2");
-    b.peer("P0")
-        .database("token", 1)
-        .input("emit", 1)
-        .input_rule("emit", &["x"], "token(x)")
-        .send_rule("hop", &["x"], "emit(x)");
-    b.peer("P1")
-        .database("mine", 1)
-        .state("seen2", 2)
-        .state_insert_rule("seen2", &["x", "y"], "mine(x) and ?hop(y)")
-        .send_rule("rep", &["x", "y"], "seen2(x, y)");
-    b.peer("P2")
-        .state("got", 2)
-        .state_insert_rule("got", &["x", "y"], "?rep(x, y)");
-    if twin {
-        b.peer("P0").database("order", 2);
-    }
-    if ring >= 2 {
-        let all = (0..ring)
-            .map(|i| format!("phase(\"r{i}\")"))
-            .collect::<Vec<_>>()
-            .join(" or ");
-        let mut arms = vec![format!("(x = \"r0\" and not ({all}))")];
-        for i in 0..ring {
-            let others = (0..ring)
-                .filter(|&j| j != i)
-                .map(|j| format!("phase(\"r{j}\")"))
-                .collect::<Vec<_>>()
-                .join(" or ");
-            arms.push(format!(
-                "(x = \"r{}\" and phase(\"r{i}\") and not ({others}))",
-                (i + 1) % ring
-            ));
-        }
-        b.peer("P1")
-            .state("phase", 1)
-            .state_insert_rule("phase", &["x"], &arms.join(" or "))
-            .state_delete_rule("phase", &["x"], "phase(x)")
-            .state("mark", 1)
-            .state_insert_rule(
-                "mark",
-                &["x"],
-                "mine(x) and seen2(x, \"t0\") and phase(\"r0\")",
-            );
-    }
-    let mut comp = b.build().expect("state-heavy chain composition");
-    let mut db = Instance::empty(&comp.voc);
-    let token = comp.voc.lookup("P0.token").unwrap();
-    let mine = comp.voc.lookup("P1.mine").unwrap();
-    for i in 0..m {
-        let t = comp.symbols.intern(&format!("t{i}"));
-        db.relation_mut(token).insert(Tuple::new(vec![t]));
-        let a = comp.symbols.intern(&format!("a{i}"));
-        db.relation_mut(mine).insert(Tuple::new(vec![a]));
-    }
-    if twin {
-        let order = comp.voc.lookup("P0.order").unwrap();
-        for prefix in ["t", "a"] {
-            for i in 1..m {
-                let from = comp.symbols.lookup(&format!("{prefix}{}", i - 1)).unwrap();
-                let to = comp.symbols.lookup(&format!("{prefix}{i}")).unwrap();
-                db.relation_mut(order).insert(Tuple::new(vec![from, to]));
-            }
-        }
-    }
+    let (comp, db) = chains::nested_relay(m, ring, 0, twin);
     let prop = "G (forall x: P0.emit(x) -> P0.token(x))".to_string();
     (comp, db, prop)
 }
@@ -436,8 +365,7 @@ fn acceptance() {
         ..bench_report.expect("at least one compact sample")
     };
     let report_json = bench_report.to_json();
-    let parsed = ddws_telemetry::Json::parse(&report_json).expect("bench report JSON parses");
-    validate_run_report(&parsed).expect("bench report validates against the schema");
+    RunReport::from_json(&report_json).expect("bench report validates against the schema");
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(

@@ -25,12 +25,12 @@
 //! 4-way parallel run is not meetable on one core. Per-phase
 //! before/after lands in `BENCH_E14.json` at the workspace root.
 
+use ddws::scenarios::chains;
 use ddws_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ddws_model::{Composition, CompositionBuilder, QueueKind, Semantics};
-use ddws_relational::{Instance, Tuple};
+use ddws_model::Composition;
+use ddws_relational::Instance;
 use ddws_verifier::{
-    validate_run_report, DatabaseMode, Reduction, Report, RuleEval, RunReport, Verifier,
-    VerifyOptions,
+    DatabaseMode, Reduction, Report, RuleEval, RunReport, Verifier, VerifyOptions,
 };
 use std::time::Instant;
 
@@ -68,53 +68,17 @@ fn workloads(smoke: bool) -> Vec<Workload> {
     }
 }
 
-/// The many-valuation join chain (the E13 state-heavy shape, closure
-/// variant): P0 emits its `m` tokens over a nested channel, P1 joins
-/// them against its private `mine` rows into the arity-2 accumulator
-/// `seen2` and ships the extension downstream, P2 records what arrived.
-/// P1 also keeps an insert-only `stock` of every value it knows — its
-/// `mine` and `pool` rows and the tokens that arrived — and the property
-/// says recorded values persist. `stock` can hold every domain value, so
-/// each of the `2m + pool` valuations is live and runs a product search
-/// of about the same cost, which is exactly the embarrassingly-parallel
-/// outer loop E14 shards.
+/// The many-valuation join chain ([`chains::nested_relay`] with a
+/// `pool`): P0 emits its `m` tokens over a nested channel, P1 joins them
+/// against its private `mine` rows into `seen2` and ships the extension
+/// downstream, P2 records what arrived. P1 also keeps an insert-only
+/// `stock` of every value it knows — its `mine` and `pool` rows and the
+/// tokens that arrived — and the property says recorded values persist.
+/// `stock` can hold every domain value, so each of the `2m + pool`
+/// valuations is live and runs a product search of about the same cost,
+/// which is exactly the embarrassingly-parallel outer loop E14 shards.
 fn many_valuation(m: usize, pool: usize) -> (Composition, Instance, String) {
-    let mut b = CompositionBuilder::new();
-    b.semantics(Semantics::default());
-    b.default_lossy(true);
-    b.channel("hop", 1, QueueKind::Nested, "P0", "P1");
-    b.channel("rep", 2, QueueKind::Nested, "P1", "P2");
-    b.peer("P0")
-        .database("token", 1)
-        .input("emit", 1)
-        .input_rule("emit", &["x"], "token(x)")
-        .send_rule("hop", &["x"], "emit(x)");
-    b.peer("P1")
-        .database("mine", 1)
-        .database("pool", 1)
-        .state("seen2", 2)
-        .state("stock", 1)
-        .state_insert_rule("seen2", &["x", "y"], "mine(x) and ?hop(y)")
-        .state_insert_rule("stock", &["x"], "mine(x) or pool(x) or ?hop(x)")
-        .send_rule("rep", &["x", "y"], "seen2(x, y)");
-    b.peer("P2")
-        .state("got", 2)
-        .state_insert_rule("got", &["x", "y"], "?rep(x, y)");
-    let mut comp = b.build().expect("many-valuation join chain composition");
-    let mut db = Instance::empty(&comp.voc);
-    let token = comp.voc.lookup("P0.token").unwrap();
-    let mine = comp.voc.lookup("P1.mine").unwrap();
-    let pool_rel = comp.voc.lookup("P1.pool").unwrap();
-    for i in 0..m {
-        let t = comp.symbols.intern(&format!("t{i}"));
-        db.relation_mut(token).insert(Tuple::new(vec![t]));
-        let a = comp.symbols.intern(&format!("a{i}"));
-        db.relation_mut(mine).insert(Tuple::new(vec![a]));
-    }
-    for i in 0..pool {
-        let p = comp.symbols.intern(&format!("p{i}"));
-        db.relation_mut(pool_rel).insert(Tuple::new(vec![p]));
-    }
+    let (comp, db) = chains::nested_relay(m, 0, pool, false);
     let prop = "forall x: G (P1.stock(x) -> X P1.stock(x))".to_string();
     (comp, db, prop)
 }
@@ -344,8 +308,7 @@ fn acceptance() {
         ..bench_report.expect("at least one sharded sample")
     };
     let report_json = bench_report.to_json();
-    let parsed = ddws_telemetry::Json::parse(&report_json).expect("bench report JSON parses");
-    validate_run_report(&parsed).expect("bench report validates against the schema");
+    RunReport::from_json(&report_json).expect("bench report validates against the schema");
 
     let json = format!(
         "{{\n  \"experiment\": \"e14_valuation_shard\",\n  \"mode\": \"{}\",\n  \

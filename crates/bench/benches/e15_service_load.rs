@@ -21,7 +21,7 @@ use ddws_server::{
 };
 use ddws_testkit::compgen;
 use ddws_testkit::rng::XorShift;
-use ddws_verifier::{validate_run_report, RunReport};
+use ddws_verifier::RunReport;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -351,8 +351,7 @@ fn acceptance() {
         ..bench_report.expect("at least one cell served a report")
     };
     let report_json = bench_report.to_json();
-    let parsed = ddws_telemetry::Json::parse(&report_json).expect("bench report JSON parses");
-    validate_run_report(&parsed).expect("bench report validates against the schema");
+    RunReport::from_json(&report_json).expect("bench report validates against the schema");
 
     let json = format!(
         "{{\n  \"experiment\": \"e15_service_load\",\n  \"mode\": \"{}\",\n  \

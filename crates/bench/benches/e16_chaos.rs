@@ -28,7 +28,7 @@ use ddws_testkit::compgen;
 use ddws_testkit::contract::silence_injected_panics;
 use ddws_testkit::faults::FrameChaos;
 use ddws_testkit::rng::XorShift;
-use ddws_verifier::{validate_run_report, Clock, ManualClock, RunReport};
+use ddws_verifier::{Clock, ManualClock, RunReport};
 use std::sync::Arc;
 
 /// The scheduler quantum. Small, so the starvers fan out into many
@@ -381,8 +381,7 @@ fn acceptance() {
         ..chaos.sample_report.clone()
     };
     let report_json = bench_report.to_json();
-    let parsed = ddws_telemetry::Json::parse(&report_json).expect("bench report JSON parses");
-    validate_run_report(&parsed).expect("bench report validates against the schema");
+    RunReport::from_json(&report_json).expect("bench report validates against the schema");
 
     let cell_json = |run: &CellRun| {
         format!(
@@ -398,8 +397,9 @@ fn acceptance() {
             run.crash_recoveries,
         )
     };
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
-        "{{\n  \"experiment\": \"e16_chaos\",\n  \"mode\": \"{}\",\n  \
+        "{{\n  \"experiment\": \"e16_chaos\",\n  \"cores\": {cores},\n  \"mode\": \"{}\",\n  \
          \"samples\": {samples},\n  \"seed\": {seed},\n  \
          \"quantum_states\": {QUANTUM},\n  \"job_budget\": {},\n  \
          \"chaos_profile\": {{ \"drop_in\": {DROP_IN}, \"crash_in\": {CRASH_IN} }},\n  \

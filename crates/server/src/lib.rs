@@ -43,7 +43,7 @@ pub use service::{
 };
 pub use supervisor::{CrashInjector, SliceOutcome, DEFAULT_CRASH_QUARANTINE};
 pub use wire::{
-    decode_request, decode_response, deframe, encode_request, encode_request_versioned,
-    encode_response, frame, CexDigest, ErrorCode, JobOptions, JobSnapshot, JobSpec, Request,
-    Response, WireError, ERROR_CODES, MAX_FRAME_LEN, MIN_WIRE_VERSION, WIRE_SCHEMA, WIRE_VERSION,
+    decode_request, decode_response, deframe, encode_request, encode_response, frame, CexDigest,
+    ErrorCode, JobOptions, JobSnapshot, JobSpec, Request, Response, WireError, ERROR_CODES,
+    MAX_FRAME_LEN, WIRE_SCHEMA, WIRE_VERSION,
 };

@@ -7,25 +7,25 @@
 //! byte representation). The payload is an *envelope*:
 //!
 //! ```json
-//! {"schema": "ddws.wire", "version": 2, "id": 7, "type": "submit_job", ...}
+//! {"schema": "ddws.wire", "version": 3, "id": 7, "type": "submit_job", ...}
 //! ```
 //!
 //! * `schema` — always `"ddws.wire"`.
-//! * `version` — the protocol version. A decoder accepts every version in
-//!   `[`[`MIN_WIRE_VERSION`]`, `[`WIRE_VERSION`]`]`; anything else is
-//!   rejected with [`ErrorCode::UnsupportedVersion`]. Version 1 lacked
-//!   `stream_telemetry`/`telemetry` messages and the `options` object of
-//!   `submit_job`; version 3 adds the optional `submit_token` field of
-//!   `submit_job` (idempotent resubmission), the optional
-//!   `retry_after_ns` field of `error` envelopes (back-pressure hint on
-//!   `queue_full`), and the 2xx codes `job_poisoned` / `result_evicted`.
-//!   Decoders fill the gaps of older versions with defaults, so v1 and
-//!   v2 frames parse unchanged.
+//! * `version` — the protocol version. Encoders write [`WIRE_VERSION`] and
+//!   decoders accept it alone: any other version is rejected with
+//!   [`ErrorCode::UnsupportedVersion`]. Both ends of the protocol live in
+//!   this workspace, so a version bump changes them together. (Version 2
+//!   added the `stream_telemetry`/`telemetry` messages and the `options`
+//!   object of `submit_job`; version 3 the `submit_token` field of
+//!   `submit_job`, the `retry_after_ns` field of `error` envelopes and the
+//!   codes `job_poisoned` / `result_evicted`.)
 //! * `id` — a client-chosen correlation id, echoed on the response.
 //! * `type` — the message type; remaining keys are the message body.
 //!
 //! Decoding is total: truncated, oversized, or garbage input yields a
 //! typed [`WireError`] from the [`ErrorCode`] registry — never a panic.
+//! Embedded run reports and progress snapshots decode straight from the
+//! parsed envelope through their `ddws-telemetry` codecs.
 
 use crate::queue::JobState;
 use ddws_telemetry::{Json, Progress, RunReport};
@@ -33,10 +33,8 @@ use ddws_testkit::compgen::{AuditorSpec, CaseSpec, ChanSpec};
 
 /// The envelope's `schema` value.
 pub const WIRE_SCHEMA: &str = "ddws.wire";
-/// The current protocol version, written by every encoder.
+/// The protocol version every encoder writes and every decoder accepts.
 pub const WIRE_VERSION: u64 = 3;
-/// The oldest protocol version decoders still accept.
-pub const MIN_WIRE_VERSION: u64 = 1;
 /// Hard cap on a frame's payload length; longer frames are rejected with
 /// [`ErrorCode::FrameTooLarge`] *before* any allocation.
 pub const MAX_FRAME_LEN: usize = 1 << 20;
@@ -51,9 +49,9 @@ pub enum ErrorCode {
     FrameTooLarge,
     /// The payload is not canonical JSON or not a `ddws.wire` envelope.
     MalformedFrame,
-    /// The envelope's `version` is outside the accepted range.
+    /// The envelope's `version` is not [`WIRE_VERSION`].
     UnsupportedVersion,
-    /// The envelope's `type` names no message of the announced version.
+    /// The envelope's `type` names no message of the protocol.
     UnknownRequest,
     /// The message body is missing or mistypes a field.
     InvalidRequest,
@@ -162,8 +160,8 @@ pub struct WireError {
     pub code: ErrorCode,
     /// Diagnostic detail (not part of the protocol contract).
     pub message: String,
-    /// Back-pressure hint (protocol version ≥ 3): how long the client
-    /// should wait before retrying, in nanoseconds. Set on `queue_full`
+    /// Back-pressure hint: how long the client should wait before
+    /// retrying, in nanoseconds. Set on `queue_full`
     /// rejections from the server's observed slice throughput; absent
     /// everywhere else.
     pub retry_after_ns: Option<u64>,
@@ -242,7 +240,7 @@ pub enum Request {
         spec: JobSpec,
         /// Per-job limits.
         options: JobOptions,
-        /// Client-chosen idempotency key (protocol version ≥ 3). Two
+        /// Client-chosen idempotency key. Two
         /// `submit_job` frames with the same token within the server's
         /// dedup window enqueue **one** job and answer the same id, so
         /// a client retrying a lost ack cannot double-submit.
@@ -264,7 +262,7 @@ pub enum Request {
         job: u64,
     },
     /// Drain the job's telemetry stream (progress snapshots and per-slice
-    /// run reports emitted since the last drain). Protocol version ≥ 2.
+    /// run reports emitted since the last drain).
     StreamTelemetry {
         /// The job id from `accepted`.
         job: u64,
@@ -329,7 +327,7 @@ pub enum Response {
         /// Digest of the counterexample on `"violated"`.
         counterexample: Option<CexDigest>,
     },
-    /// A `stream_telemetry` answer. Protocol version ≥ 2.
+    /// A `stream_telemetry` answer.
     Telemetry {
         /// The job id.
         job: u64,
@@ -396,12 +394,7 @@ fn s(v: impl Into<String>) -> Json {
 }
 
 fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
+    Json::Object(body(fields))
 }
 
 fn invalid(msg: impl Into<String>) -> WireError {
@@ -451,17 +444,9 @@ fn opt_u64(v: &Json, key: &str) -> Result<Option<u64>, WireError> {
 
 /// `None` when the key is absent or `null`; otherwise the integer.
 fn opt_usize(v: &Json, key: &str) -> Result<Option<usize>, WireError> {
-    match v.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(j) => {
-            let n = j
-                .as_u64()
-                .ok_or_else(|| invalid(format!("non-integer `{key}`")))?;
-            Ok(Some(
-                usize::try_from(n).map_err(|_| invalid(format!("`{key}` out of range")))?,
-            ))
-        }
-    }
+    opt_u64(v, key)?
+        .map(|n| usize::try_from(n).map_err(|_| invalid(format!("`{key}` out of range"))))
+        .transpose()
 }
 
 fn opt_u64_json(v: Option<usize>) -> Json {
@@ -606,39 +591,15 @@ fn case_spec_from_json(v: &Json) -> Result<CaseSpec, WireError> {
 }
 
 // ---------------------------------------------------------------------
-// Progress / report (de)serialization
+// Telemetry, counterexample and snapshot (de)serialization
 // ---------------------------------------------------------------------
 
-fn progress_json(p: &Progress) -> Json {
-    obj(vec![
-        ("elapsed_ns", Json::UInt(p.elapsed_ns)),
-        ("states_visited", Json::UInt(p.states_visited)),
-        ("states_per_sec", Json::UInt(p.states_per_sec)),
-        ("frontier", Json::UInt(p.frontier)),
-        ("depth", Json::UInt(p.depth)),
-        ("ample_hits", Json::UInt(p.ample_hits)),
-        ("full_expansions", Json::UInt(p.full_expansions)),
-        ("rule_cache_hits", Json::UInt(p.rule_cache_hits)),
-        ("rule_cache_misses", Json::UInt(p.rule_cache_misses)),
-    ])
-}
-
 fn progress_from_json(v: &Json) -> Result<Progress, WireError> {
-    Ok(Progress {
-        elapsed_ns: get_u64(v, "elapsed_ns")?,
-        states_visited: get_u64(v, "states_visited")?,
-        states_per_sec: get_u64(v, "states_per_sec")?,
-        frontier: get_u64(v, "frontier")?,
-        depth: get_u64(v, "depth")?,
-        ample_hits: get_u64(v, "ample_hits")?,
-        full_expansions: get_u64(v, "full_expansions")?,
-        rule_cache_hits: get_u64(v, "rule_cache_hits")?,
-        rule_cache_misses: get_u64(v, "rule_cache_misses")?,
-    })
+    Progress::from_json_value(v).map_err(|e| invalid(format!("progress snapshot: {e}")))
 }
 
 fn report_from_json(v: &Json) -> Result<RunReport, WireError> {
-    RunReport::from_json(&v.to_string()).map_err(|e| invalid(format!("embedded run report: {e}")))
+    RunReport::from_json_value(v).map_err(|e| invalid(format!("embedded run report: {e}")))
 }
 
 fn cex_json(d: &CexDigest) -> Json {
@@ -691,10 +652,10 @@ fn snapshot_from_json(v: &Json) -> Result<JobSnapshot, WireError> {
 // Envelopes
 // ---------------------------------------------------------------------
 
-fn envelope(version: u64, id: u64, typ: &str, mut body: Vec<(String, Json)>) -> Json {
+fn envelope(id: u64, typ: &str, mut body: Vec<(String, Json)>) -> Json {
     let mut fields = vec![
         ("schema".to_string(), s(WIRE_SCHEMA)),
-        ("version".to_string(), Json::UInt(version)),
+        ("version".to_string(), Json::UInt(WIRE_VERSION)),
         ("id".to_string(), Json::UInt(id)),
         ("type".to_string(), s(typ)),
     ];
@@ -709,16 +670,8 @@ fn body(fields: Vec<(&str, Json)>) -> Vec<(String, Json)> {
         .collect()
 }
 
-/// Encodes a request at the current [`WIRE_VERSION`].
+/// Encodes a request at [`WIRE_VERSION`].
 pub fn encode_request(id: u64, req: &Request) -> Vec<u8> {
-    encode_request_versioned(WIRE_VERSION, id, req)
-}
-
-/// Encodes a request at an explicit protocol version (compatibility
-/// tests). Version 1 omits the `options` object of `submit_job` — that
-/// field did not exist — and cannot express `stream_telemetry`; versions
-/// below 3 omit `submit_token`.
-pub fn encode_request_versioned(version: u64, id: u64, req: &Request) -> Vec<u8> {
     let json = match req {
         Request::SubmitJob {
             spec,
@@ -729,74 +682,47 @@ pub fn encode_request_versioned(version: u64, id: u64, req: &Request) -> Vec<u8>
                 JobSpec::Spec(cs) => body(vec![("spec", case_spec_json(cs))]),
                 JobSpec::Scenario(name) => body(vec![("scenario", s(name.clone()))]),
             };
-            if version >= 2 {
-                fields.push((
-                    "options".to_string(),
+            fields.extend(body(vec![
+                (
+                    "options",
                     obj(vec![
                         ("budget", Json::UInt(options.budget)),
                         ("fresh_values", opt_u64_json(options.fresh_values)),
                         ("valuation_threads", opt_u64_json(options.valuation_threads)),
                     ]),
-                ));
-            }
-            if version >= 3 {
-                fields.push((
-                    "submit_token".to_string(),
-                    match submit_token {
-                        Some(t) => Json::UInt(*t),
-                        None => Json::Null,
-                    },
-                ));
-            }
-            envelope(version, id, "submit_job", fields)
+                ),
+                ("submit_token", submit_token.map_or(Json::Null, Json::UInt)),
+            ]));
+            envelope(id, "submit_job", fields)
         }
-        Request::JobStatus { job } => envelope(
-            version,
-            id,
-            "job_status",
-            body(vec![("job", Json::UInt(*job))]),
-        ),
-        Request::CancelJob { job } => envelope(
-            version,
-            id,
-            "cancel_job",
-            body(vec![("job", Json::UInt(*job))]),
-        ),
-        Request::FetchResult { job } => envelope(
-            version,
-            id,
-            "fetch_result",
-            body(vec![("job", Json::UInt(*job))]),
-        ),
-        Request::StreamTelemetry { job } => {
-            assert!(version >= 2, "stream_telemetry requires protocol version 2");
-            envelope(
-                version,
-                id,
-                "stream_telemetry",
-                body(vec![("job", Json::UInt(*job))]),
-            )
+        Request::JobStatus { job } => {
+            envelope(id, "job_status", body(vec![("job", Json::UInt(*job))]))
         }
+        Request::CancelJob { job } => {
+            envelope(id, "cancel_job", body(vec![("job", Json::UInt(*job))]))
+        }
+        Request::FetchResult { job } => {
+            envelope(id, "fetch_result", body(vec![("job", Json::UInt(*job))]))
+        }
+        Request::StreamTelemetry { job } => envelope(
+            id,
+            "stream_telemetry",
+            body(vec![("job", Json::UInt(*job))]),
+        ),
     };
     frame(json.to_string().as_bytes())
 }
 
-/// Encodes a response at the current [`WIRE_VERSION`].
+/// Encodes a response at [`WIRE_VERSION`].
 pub fn encode_response(id: u64, resp: &Response) -> Vec<u8> {
     let json = match resp {
-        Response::Accepted { job } => envelope(
-            WIRE_VERSION,
-            id,
-            "accepted",
-            body(vec![("job", Json::UInt(*job))]),
-        ),
-        Response::Status(sn) => envelope(WIRE_VERSION, id, "status", body(snapshot_fields(sn))),
-        Response::Cancelled { job } => envelope(
-            WIRE_VERSION,
-            id,
-            "cancelled",
-            body(vec![("job", Json::UInt(*job))]),
-        ),
+        Response::Accepted { job } => {
+            envelope(id, "accepted", body(vec![("job", Json::UInt(*job))]))
+        }
+        Response::Status(sn) => envelope(id, "status", body(snapshot_fields(sn))),
+        Response::Cancelled { job } => {
+            envelope(id, "cancelled", body(vec![("job", Json::UInt(*job))]))
+        }
         Response::Result {
             snapshot,
             verdict,
@@ -813,21 +739,20 @@ pub fn encode_response(id: u64, resp: &Response) -> Vec<u8> {
                 "counterexample",
                 counterexample.as_ref().map_or(Json::Null, cex_json),
             ));
-            envelope(WIRE_VERSION, id, "result", body(fields))
+            envelope(id, "result", body(fields))
         }
         Response::Telemetry {
             job,
             snapshots,
             reports,
         } => envelope(
-            WIRE_VERSION,
             id,
             "telemetry",
             body(vec![
                 ("job", Json::UInt(*job)),
                 (
                     "snapshots",
-                    Json::Array(snapshots.iter().map(progress_json).collect()),
+                    Json::Array(snapshots.iter().map(Progress::to_json_value).collect()),
                 ),
                 (
                     "reports",
@@ -844,15 +769,15 @@ pub fn encode_response(id: u64, resp: &Response) -> Vec<u8> {
             if let Some(ns) = err.retry_after_ns {
                 fields.push(("retry_after_ns", Json::UInt(ns)));
             }
-            envelope(WIRE_VERSION, id, "error", body(fields))
+            envelope(id, "error", body(fields))
         }
     };
     frame(json.to_string().as_bytes())
 }
 
 /// Splits one envelope off the front of `buf`: validates framing, JSON,
-/// schema and version, and returns `(version, id, type, body, consumed)`.
-fn decode_envelope(buf: &[u8]) -> Result<(u64, u64, String, Json, usize), WireError> {
+/// schema and version, and returns `(id, type, body, consumed)`.
+fn decode_envelope(buf: &[u8]) -> Result<(u64, String, Json, usize), WireError> {
     let (payload, consumed) = deframe(buf)?;
     let text = std::str::from_utf8(payload)
         .map_err(|_| WireError::new(ErrorCode::MalformedFrame, "payload is not UTF-8"))?;
@@ -868,10 +793,10 @@ fn decode_envelope(buf: &[u8]) -> Result<(u64, u64, String, Json, usize), WireEr
         .get("version")
         .and_then(Json::as_u64)
         .ok_or_else(|| WireError::new(ErrorCode::MalformedFrame, "missing `version`"))?;
-    if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
+    if version != WIRE_VERSION {
         return Err(WireError::new(
             ErrorCode::UnsupportedVersion,
-            format!("version {version} outside [{MIN_WIRE_VERSION}, {WIRE_VERSION}]"),
+            format!("version {version} (this build speaks {WIRE_VERSION})"),
         ));
     }
     let id = json
@@ -883,12 +808,12 @@ fn decode_envelope(buf: &[u8]) -> Result<(u64, u64, String, Json, usize), WireEr
         .and_then(Json::as_str)
         .ok_or_else(|| WireError::new(ErrorCode::MalformedFrame, "missing `type`"))?
         .to_string();
-    Ok((version, id, typ, json, consumed))
+    Ok((id, typ, json, consumed))
 }
 
 /// Decodes one request frame: `(id, request, bytes consumed)`.
 pub fn decode_request(buf: &[u8]) -> Result<(u64, Request, usize), WireError> {
-    let (version, id, typ, json, consumed) = decode_envelope(buf)?;
+    let (id, typ, json, consumed) = decode_envelope(buf)?;
     let req = match typ.as_str() {
         "submit_job" => {
             let spec = match (json.get("spec"), json.get("scenario")) {
@@ -900,19 +825,16 @@ pub fn decode_request(buf: &[u8]) -> Result<(u64, Request, usize), WireError> {
                     ))
                 }
             };
-            let options = match json.get("options") {
-                // Version 1 had no per-job options; the defaults apply.
-                None | Some(Json::Null) => JobOptions::default(),
-                Some(o) => JobOptions {
+            let o = json
+                .get("options")
+                .ok_or_else(|| invalid("missing `options`"))?;
+            Request::SubmitJob {
+                spec,
+                options: JobOptions {
                     budget: get_u64(o, "budget")?,
                     fresh_values: opt_usize(o, "fresh_values")?,
                     valuation_threads: opt_usize(o, "valuation_threads")?,
                 },
-            };
-            Request::SubmitJob {
-                spec,
-                options,
-                // Pre-v3 frames have no token; absent means "no dedup".
                 submit_token: opt_u64(&json, "submit_token")?,
             }
         }
@@ -925,13 +847,13 @@ pub fn decode_request(buf: &[u8]) -> Result<(u64, Request, usize), WireError> {
         "fetch_result" => Request::FetchResult {
             job: get_u64(&json, "job")?,
         },
-        "stream_telemetry" if version >= 2 => Request::StreamTelemetry {
+        "stream_telemetry" => Request::StreamTelemetry {
             job: get_u64(&json, "job")?,
         },
         other => {
             return Err(WireError::new(
                 ErrorCode::UnknownRequest,
-                format!("unknown request type {other:?} at version {version}"),
+                format!("unknown request type {other:?}"),
             ))
         }
     };
@@ -940,7 +862,7 @@ pub fn decode_request(buf: &[u8]) -> Result<(u64, Request, usize), WireError> {
 
 /// Decodes one response frame: `(id, response, bytes consumed)`.
 pub fn decode_response(buf: &[u8]) -> Result<(u64, Response, usize), WireError> {
-    let (version, id, typ, json, consumed) = decode_envelope(buf)?;
+    let (id, typ, json, consumed) = decode_envelope(buf)?;
     let resp = match typ.as_str() {
         "accepted" => Response::Accepted {
             job: get_u64(&json, "job")?,
@@ -961,7 +883,7 @@ pub fn decode_response(buf: &[u8]) -> Result<(u64, Response, usize), WireError> 
                 Some(c) => Some(cex_from_json(c)?),
             },
         },
-        "telemetry" if version >= 2 => Response::Telemetry {
+        "telemetry" => Response::Telemetry {
             job: get_u64(&json, "job")?,
             snapshots: get_array(&json, "snapshots")?
                 .iter()
@@ -996,7 +918,7 @@ pub fn decode_response(buf: &[u8]) -> Result<(u64, Response, usize), WireError> 
         other => {
             return Err(WireError::new(
                 ErrorCode::UnknownRequest,
-                format!("unknown response type {other:?} at version {version}"),
+                format!("unknown response type {other:?}"),
             ))
         }
     };
@@ -1021,29 +943,48 @@ mod tests {
     }
 
     #[test]
-    fn v1_submit_without_options_decodes_with_defaults() {
+    fn only_the_current_version_decodes() {
+        let req = encode_request(3, &Request::JobStatus { job: 1 });
+        let resp = encode_response(3, &Response::Accepted { job: 1 });
+        for bytes in [req, resp] {
+            let text = std::str::from_utf8(&bytes[4..]).unwrap();
+            for version in (0..=10).chain([99, u64::MAX]) {
+                let spliced = text.replace(
+                    &format!("\"version\":{WIRE_VERSION}"),
+                    &format!("\"version\":{version}"),
+                );
+                let frame = frame(spliced.as_bytes());
+                let codes = [
+                    decode_request(&frame).err().map(|e| e.code),
+                    decode_response(&frame).err().map(|e| e.code),
+                ];
+                if version == WIRE_VERSION {
+                    assert!(codes.contains(&None), "current version rejected");
+                } else {
+                    assert_eq!(
+                        codes,
+                        [Some(ErrorCode::UnsupportedVersion); 2],
+                        "v{version}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn submit_without_options_is_invalid() {
         let req = Request::SubmitJob {
             spec: JobSpec::Scenario("req_resp".into()),
-            options: JobOptions {
-                budget: 999,
-                ..JobOptions::default()
-            },
-            submit_token: Some(5),
+            options: JobOptions::default(),
+            submit_token: None,
         };
-        let bytes = encode_request_versioned(1, 3, &req);
-        let (_, back, _) = decode_request(&bytes).expect("v1 frame decodes");
-        match back {
-            Request::SubmitJob {
-                options,
-                submit_token,
-                ..
-            } => {
-                assert_eq!(options, JobOptions::default());
-                // v1/v2 frames cannot carry a token.
-                assert_eq!(submit_token, None);
-            }
-            other => panic!("unexpected request {other:?}"),
-        }
+        let bytes = encode_request(3, &req);
+        let text = std::str::from_utf8(&bytes[4..]).unwrap();
+        let options = text.find(",\"options\"").unwrap();
+        let token = text.find(",\"submit_token\"").unwrap();
+        let stripped = format!("{}{}", &text[..options], &text[token..]);
+        let err = decode_request(&frame(stripped.as_bytes())).unwrap_err();
+        assert_eq!(err.code, ErrorCode::InvalidRequest);
     }
 
     #[test]

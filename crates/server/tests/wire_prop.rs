@@ -8,16 +8,14 @@
 //! 2. **Totality** — decoding never panics: truncated, oversized, and
 //!    garbage frames all come back as typed [`WireError`]s with the
 //!    registry code the failure class owns.
-//! 3. **Version compatibility** — frames encoded at every supported
-//!    protocol version still decode (a version-1 `submit_job` carries no
-//!    options and gets the documented defaults); versions outside
-//!    `[MIN_WIRE_VERSION, WIRE_VERSION]` are rejected as
-//!    `unsupported_version`, never misparsed.
+//! 3. **One version** — decoders accept [`WIRE_VERSION`] only: a frame
+//!    announcing any other version is rejected as `unsupported_version`,
+//!    never misparsed.
 
 use ddws_server::{
-    decode_request, decode_response, deframe, encode_request, encode_request_versioned,
-    encode_response, frame, CexDigest, ErrorCode, JobOptions, JobSnapshot, JobSpec, Request,
-    Response, WireError, ERROR_CODES, MAX_FRAME_LEN, MIN_WIRE_VERSION, WIRE_VERSION,
+    decode_request, decode_response, deframe, encode_request, encode_response, frame, CexDigest,
+    ErrorCode, JobOptions, JobSnapshot, JobSpec, Request, Response, WireError, ERROR_CODES,
+    MAX_FRAME_LEN, WIRE_VERSION,
 };
 use ddws_server::{scenario, JobState, SCENARIOS};
 use ddws_telemetry::Progress;
@@ -259,55 +257,6 @@ proptest! {
         }
     }
 
-    /// Every supported version decodes; a version-1 `submit_job` (which
-    /// could carry neither options nor a `submit_token`) decodes to the
-    /// documented defaults.
-    #[test]
-    fn versions_are_compatible(
-        spec in arb_spec(),
-        options in arb_options(),
-        token in arb_token(),
-        job in 0u64..1_000,
-    ) {
-        // Version 1: submit without options or token; polls unchanged.
-        let v1 = encode_request_versioned(1, 3, &Request::SubmitJob {
-            spec: spec.clone(),
-            options: options.clone(),
-            submit_token: token,
-        });
-        let (_, decoded, _) = decode_request(&v1)
-            .map_err(|e| TestCaseError::fail(format!("v1 submit rejected: {e}")))?;
-        prop_assert_eq!(
-            decoded,
-            Request::SubmitJob {
-                spec: spec.clone(),
-                options: JobOptions::default(),
-                submit_token: None,
-            }
-        );
-        for req in [
-            Request::JobStatus { job },
-            Request::CancelJob { job },
-            Request::FetchResult { job },
-        ] {
-            for version in MIN_WIRE_VERSION..=WIRE_VERSION {
-                let bytes = encode_request_versioned(version, 9, &req);
-                let (_, decoded, _) = decode_request(&bytes)
-                    .map_err(|e| TestCaseError::fail(format!("v{version} rejected: {e}")))?;
-                prop_assert_eq!(&decoded, &req);
-            }
-        }
-        // The current version round-trips options and token verbatim.
-        let v2 = encode_request_versioned(WIRE_VERSION, 4, &Request::SubmitJob {
-            spec: spec.clone(),
-            options: options.clone(),
-            submit_token: token,
-        });
-        let (_, decoded, _) = decode_request(&v2)
-            .map_err(|e| TestCaseError::fail(format!("v{WIRE_VERSION} rejected: {e}")))?;
-        prop_assert_eq!(decoded, Request::SubmitJob { spec, options, submit_token: token });
-    }
-
     /// The `retry_after_ns` back-pressure hint survives the error
     /// envelope exactly — present round-trips the value, absent stays
     /// absent.
@@ -357,11 +306,11 @@ proptest! {
         }
     }
 
-    /// Versions outside the supported window are `unsupported_version`,
-    /// for requests and responses alike.
+    /// Every version but [`WIRE_VERSION`] — older ones included — is
+    /// `unsupported_version`, for requests and responses alike.
     #[test]
     fn unsupported_versions_are_rejected(version in 0u64..100, job in 0u64..1_000) {
-        let version = if version <= WIRE_VERSION { 0 } else { version };
+        let version = if version == WIRE_VERSION { u64::MAX } else { version };
         // Splice the bad version into an otherwise-valid envelope.
         let good = encode_request(11, &Request::JobStatus { job });
         let (payload, _) = deframe(&good).expect("self-encoded frame");
@@ -382,24 +331,12 @@ proptest! {
         }
     }
 
-    /// Unknown message types are `unknown_request` — including types that
-    /// exist but not at the envelope's version (`stream_telemetry` is a
-    /// version-2 message and must not decode from a version-1 envelope).
+    /// Unknown message types are `unknown_request`.
     #[test]
-    fn unknown_and_premature_types_are_rejected(job in 0u64..1_000, tag in 0u64..3) {
+    fn unknown_types_are_rejected(job in 0u64..1_000, tag in 0u64..3) {
         let good = encode_request(13, &Request::StreamTelemetry { job });
         let (payload, _) = deframe(&good).expect("self-encoded frame");
         let text = std::str::from_utf8(payload).expect("canonical JSON is UTF-8");
-        // Downgrade the envelope to version 1: the type predates it.
-        let downgraded = text.replace(
-            &format!("\"version\":{WIRE_VERSION}"),
-            "\"version\":1",
-        );
-        match decode_request(&frame(downgraded.as_bytes())) {
-            Err(e) => prop_assert_eq!(e.code, ErrorCode::UnknownRequest),
-            Ok(_) => prop_assert!(false, "v1 stream_telemetry decoded"),
-        }
-        // A type nobody registered.
         let bogus = ["no_such_call", "submitjob", ""][tag as usize];
         let renamed =
             text.replace("\"type\":\"stream_telemetry\"", &format!("\"type\":{bogus:?}"));

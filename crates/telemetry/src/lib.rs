@@ -9,12 +9,13 @@
 //!   no hot-path atomics in the engines themselves.
 //! * [`RunReport`] — the final machine-readable artifact of a verification
 //!   run (stable, versioned JSON schema; see [`report::SCHEMA_NAME`]).
-//! * [`Reporter`] — the sink trait, with [`Silent`], human-readable
-//!   ([`HumanReporter`]) and JSON-lines ([`JsonLinesReporter`])
-//!   implementations, plus an in-memory [`BufferReporter`] for tests.
+//! * [`Reporter`] — the sink trait, with [`Silent`] and JSON-lines
+//!   ([`JsonLinesReporter`]) implementations, an in-memory
+//!   [`BufferReporter`] for tests, and the drainable [`StreamReporter`]
+//!   the verification service serves telemetry from.
 //! * [`Progress`] / [`ProgressGate`] — periodic progress snapshots
-//!   (states/sec, frontier size, depth, ample/full ratio, rule-cache hit
-//!   rate) throttled by a lock-free time gate.
+//!   (states/sec, frontier size, depth, ample/full counts, rule-cache
+//!   hits and misses) throttled by a lock-free time gate.
 //! * [`EngineTelemetry`] — the bundle of references an engine threads
 //!   through its search loop.
 //! * [`CancelToken`] / [`AbortReason`] — the run-control layer: cooperative
@@ -34,12 +35,9 @@ pub mod stats;
 
 pub use control::{AbortReason, CancelToken, FaultHook};
 pub use json::Json;
-pub use report::{
-    validate_run_report, Abort, Counters, PhaseTimes, RunReport, MIN_SCHEMA_VERSION, SCHEMA_NAME,
-    SCHEMA_VERSION,
-};
+pub use report::{Abort, Counters, PhaseTimes, RunReport, SCHEMA_NAME, SCHEMA_VERSION};
 pub use reporter::{
-    BufferReporter, EngineTelemetry, HumanReporter, JsonLinesReporter, Progress, ProgressGate,
-    Reporter, ReporterHandle, RuleMeterSource, Silent, StreamReporter, TelemetryEvent, SILENT,
+    BufferReporter, EngineTelemetry, JsonLinesReporter, Progress, ProgressGate, Reporter,
+    ReporterHandle, RuleMeterSource, Silent, StreamReporter, TelemetryEvent, SILENT,
 };
 pub use stats::SearchStats;

@@ -3,36 +3,38 @@
 //! # Schema and versioning policy
 //!
 //! A report is a single JSON object whose first two fields identify it:
-//! `"schema": "ddws.run-report"` and `"version": 2`. Within a version the
+//! `"schema": "ddws.run-report"` and `"version": 6`. Within a version the
 //! field set and serialization order are frozen, so two reports from runs
 //! with identical non-timing behaviour are byte-identical after
 //! [`RunReport::redacted`]. Additive changes (new counters, new phases)
-//! bump the version; consumers should accept any version they know and
-//! reject unknown schema names. [`validate_run_report`] checks a parsed
-//! document against every version this crate understands.
+//! bump the version. [`RunReport::from_json_value`] reads the current
+//! version only and rejects every other one with an `Err`: no report
+//! consumer exists outside this workspace, so committed artifacts are
+//! regenerated on a bump rather than parsed across versions.
+//!
+//! The `counters` and `phases` blocks are encoded and decoded from one
+//! ordered key list each (`Counters::fields_mut`, `PhaseTimes::fields_mut`),
+//! so a new counter is one entry there plus the version bump.
 //!
 //! **Version history.** v1 froze the field set through `phases` with the
-//! outcome vocabulary `holds | violated | budget_exceeded`. v2 adds an
+//! outcome vocabulary `holds | violated | budget_exceeded`. v2 added the
 //! optional `abort` object (`reason`, `budget`, `spent`, `resumable`) —
-//! present exactly when the run stopped without a verdict — and widens the
+//! present exactly when the run stopped without a verdict — and widened the
 //! outcome vocabulary with `deadline_exceeded`, `cancelled` and
-//! `worker_panicked`. v3 adds the grounded-NBA cache counters
+//! `worker_panicked`. v3 added the grounded-NBA cache counters
 //! (`nba_cache_hits`, `nba_cache_misses`) introduced by valuation-level
-//! sharding, and widens [`RunReport::redacted`] to also zero the cache
+//! sharding, and widened [`RunReport::redacted`] to also zero the cache
 //! meters (rule and NBA), which are schedule-dependent when superseded
-//! shards contribute partial work. v4 adds the `crash_recoveries`
+//! shards contribute partial work. v4 added the `crash_recoveries`
 //! counter: how many crashed scheduler slices the serving layer absorbed
 //! and re-dispatched from a parked checkpoint before this report's run
-//! finished (0 for direct, unserved runs). v5 adds the
+//! finished (0 for direct, unserved runs). v5 added the
 //! `valuations_vacuous` counter: universal-closure valuations the
 //! column-domain analysis decided before any search (deterministic, so
-//! redaction keeps it). v6 adds the `symmetry_merges` counter: successor
+//! redaction keeps it). v6 added the `symmetry_merges` counter: successor
 //! configurations the symmetry reduction replaced by a different orbit
 //! representative (a pure function of the input on `holds` runs, so
-//! redaction keeps it). [`RunReport::from_json`] still accepts v1–v5
-//! documents (their `abort` / NBA counters / `crash_recoveries` /
-//! `valuations_vacuous` / `symmetry_merges` default to `None` / 0 / 0 /
-//! 0 / 0).
+//! redaction keeps it).
 
 use crate::control::AbortReason;
 use crate::json::Json;
@@ -40,10 +42,18 @@ use crate::stats::SearchStats;
 
 /// The schema identifier every run report carries.
 pub const SCHEMA_NAME: &str = "ddws.run-report";
-/// The current schema version (frozen field set; bump on change).
+/// The schema version every encoder writes and the decoder accepts
+/// (frozen field set; bump on change).
 pub const SCHEMA_VERSION: u64 = 6;
-/// The oldest schema version [`RunReport::from_json`] still accepts.
-pub const MIN_SCHEMA_VERSION: u64 = 1;
+
+/// The outcome labels of a run that stopped without a verdict; a report
+/// carries an `abort` object exactly when its outcome is one of these.
+const ABORT_LABELS: [&str; 4] = [
+    "budget_exceeded",
+    "deadline_exceeded",
+    "cancelled",
+    "worker_panicked",
+];
 
 /// Verdict-relevant counters, copied out of [`SearchStats`] at the end of
 /// a run.
@@ -65,25 +75,21 @@ pub struct Counters {
     pub rule_cache_hits: u64,
     /// Footprint-cache misses.
     pub rule_cache_misses: u64,
-    /// Grounded-NBA cache hits (schema v3; 0 when parsed from older
-    /// documents).
+    /// Grounded-NBA cache hits.
     pub nba_cache_hits: u64,
     /// Grounded-NBA cache misses — distinct grounded formula shapes
-    /// translated (schema v3; 0 when parsed from older documents).
+    /// translated.
     pub nba_cache_misses: u64,
     /// Crashed scheduler slices absorbed by the serving layer's
-    /// supervisor and re-dispatched from a parked checkpoint (schema v4;
-    /// 0 for direct runs and when parsed from older documents). The
-    /// count is deterministic under a seeded crash plan, so redaction
-    /// keeps it.
+    /// supervisor and re-dispatched from a parked checkpoint (0 for
+    /// direct runs). The count is deterministic under a seeded crash
+    /// plan, so redaction keeps it.
     pub crash_recoveries: u64,
     /// Universal-closure valuations decided `holds` without a search
-    /// because their negated property folds to `false` (schema v5; 0 when
-    /// parsed from older documents).
+    /// because their negated property folds to `false`.
     pub valuations_vacuous: u64,
     /// Successor configurations the symmetry reduction replaced by a
-    /// different orbit representative (schema v6; 0 when parsed from
-    /// older documents).
+    /// different orbit representative.
     pub symmetry_merges: u64,
     /// Whether any contributing search aborted on its state budget.
     pub truncated: bool,
@@ -108,6 +114,27 @@ impl Counters {
             symmetry_merges: stats.symmetry_merges,
             truncated: stats.truncated,
         }
+    }
+
+    /// The integer counters under their JSON keys, in serialization order
+    /// (`truncated`, the one flag, follows them): the single list the
+    /// encoder and the decoder both walk.
+    fn fields_mut(&mut self) -> [(&'static str, &mut u64); 13] {
+        [
+            ("states_visited", &mut self.states_visited),
+            ("transitions_explored", &mut self.transitions_explored),
+            ("states_expanded", &mut self.states_expanded),
+            ("ample_hits", &mut self.ample_hits),
+            ("full_expansions", &mut self.full_expansions),
+            ("rule_evals", &mut self.rule_evals),
+            ("rule_cache_hits", &mut self.rule_cache_hits),
+            ("rule_cache_misses", &mut self.rule_cache_misses),
+            ("nba_cache_hits", &mut self.nba_cache_hits),
+            ("nba_cache_misses", &mut self.nba_cache_misses),
+            ("crash_recoveries", &mut self.crash_recoveries),
+            ("valuations_vacuous", &mut self.valuations_vacuous),
+            ("symmetry_merges", &mut self.symmetry_merges),
+        ]
     }
 }
 
@@ -134,7 +161,53 @@ pub struct PhaseTimes {
     pub total_ns: u64,
 }
 
-/// How a run that stopped without a verdict stopped (schema v2).
+impl PhaseTimes {
+    /// The phase timers under their JSON keys, in serialization order.
+    fn fields_mut(&mut self) -> [(&'static str, &mut u64); 8] {
+        [
+            ("nba_translation_ns", &mut self.nba_translation_ns),
+            ("boot_ns", &mut self.boot_ns),
+            ("successor_ns", &mut self.successor_ns),
+            ("rule_eval_ns", &mut self.rule_eval_ns),
+            ("queue_bookkeeping_ns", &mut self.queue_bookkeeping_ns),
+            ("lasso_ns", &mut self.lasso_ns),
+            ("counterexample_ns", &mut self.counterexample_ns),
+            ("total_ns", &mut self.total_ns),
+        ]
+    }
+}
+
+/// `(key, UInt)` object fields from a `fields_mut` list.
+pub(crate) fn uint_fields<const N: usize>(list: [(&str, &mut u64); N]) -> Vec<(String, Json)> {
+    list.into_iter()
+        .map(|(key, n)| (key.to_string(), Json::UInt(*n)))
+        .collect()
+}
+
+/// Fills a `fields_mut` list from the integer fields of a JSON object.
+pub(crate) fn read_uints<const N: usize>(
+    v: &Json,
+    list: [(&str, &mut u64); N],
+) -> Result<(), String> {
+    for (key, slot) in list {
+        *slot = field(v, key, Json::as_u64, "integer")?;
+    }
+    Ok(())
+}
+
+/// One typed field of a JSON object, or the error naming it.
+fn field<'a, T>(
+    v: &'a Json,
+    key: &str,
+    typed: fn(&'a Json) -> Option<T>,
+    what: &str,
+) -> Result<T, String> {
+    v.get(key)
+        .and_then(typed)
+        .ok_or_else(|| format!("missing or non-{what} field `{key}`"))
+}
+
+/// How a run that stopped without a verdict stopped.
 ///
 /// Present on a report exactly when its outcome is one of the abort labels
 /// (`budget_exceeded`, `deadline_exceeded`, `cancelled`,
@@ -222,8 +295,6 @@ impl RunReport {
     /// `abort` field is serialized exactly when present, right after
     /// `outcome`.
     pub fn to_json_value(&self) -> Json {
-        let c = &self.counters;
-        let p = &self.phases;
         let mut fields = vec![
             ("schema".into(), Json::Str(SCHEMA_NAME.into())),
             ("version".into(), Json::UInt(SCHEMA_VERSION)),
@@ -244,124 +315,90 @@ impl RunReport {
                 ]),
             ));
         }
+        let (mut counters, mut phases) = (self.counters, self.phases);
+        let mut counter_fields = uint_fields(counters.fields_mut());
+        counter_fields.push(("truncated".into(), Json::Bool(counters.truncated)));
         fields.extend([
             (
                 "valuations_checked".into(),
                 Json::UInt(self.valuations_checked),
             ),
             ("domain_size".into(), Json::UInt(self.domain_size)),
-            (
-                "counters".into(),
-                Json::Object(vec![
-                    ("states_visited".into(), Json::UInt(c.states_visited)),
-                    (
-                        "transitions_explored".into(),
-                        Json::UInt(c.transitions_explored),
-                    ),
-                    ("states_expanded".into(), Json::UInt(c.states_expanded)),
-                    ("ample_hits".into(), Json::UInt(c.ample_hits)),
-                    ("full_expansions".into(), Json::UInt(c.full_expansions)),
-                    ("rule_evals".into(), Json::UInt(c.rule_evals)),
-                    ("rule_cache_hits".into(), Json::UInt(c.rule_cache_hits)),
-                    ("rule_cache_misses".into(), Json::UInt(c.rule_cache_misses)),
-                    ("nba_cache_hits".into(), Json::UInt(c.nba_cache_hits)),
-                    ("nba_cache_misses".into(), Json::UInt(c.nba_cache_misses)),
-                    ("crash_recoveries".into(), Json::UInt(c.crash_recoveries)),
-                    (
-                        "valuations_vacuous".into(),
-                        Json::UInt(c.valuations_vacuous),
-                    ),
-                    ("symmetry_merges".into(), Json::UInt(c.symmetry_merges)),
-                    ("truncated".into(), Json::Bool(c.truncated)),
-                ]),
-            ),
+            ("counters".into(), Json::Object(counter_fields)),
             (
                 "phases".into(),
-                Json::Object(vec![
-                    (
-                        "nba_translation_ns".into(),
-                        Json::UInt(p.nba_translation_ns),
-                    ),
-                    ("boot_ns".into(), Json::UInt(p.boot_ns)),
-                    ("successor_ns".into(), Json::UInt(p.successor_ns)),
-                    ("rule_eval_ns".into(), Json::UInt(p.rule_eval_ns)),
-                    (
-                        "queue_bookkeeping_ns".into(),
-                        Json::UInt(p.queue_bookkeeping_ns),
-                    ),
-                    ("lasso_ns".into(), Json::UInt(p.lasso_ns)),
-                    ("counterexample_ns".into(), Json::UInt(p.counterexample_ns)),
-                    ("total_ns".into(), Json::UInt(p.total_ns)),
-                ]),
+                Json::Object(uint_fields(phases.fields_mut())),
             ),
         ]);
         Json::Object(fields)
     }
 
-    /// Parses and validates a report from its JSON encoding.
+    /// Parses a report from its JSON encoding: [`Json::parse`], then
+    /// [`RunReport::from_json_value`].
     pub fn from_json(input: &str) -> Result<RunReport, String> {
-        let v = Json::parse(input)?;
-        validate_run_report(&v)?;
-        let s = |key: &str| -> String { v.get(key).and_then(Json::as_str).unwrap().to_string() };
-        let u = |key: &str| -> u64 { v.get(key).and_then(Json::as_u64).unwrap() };
-        let c = v.get("counters").unwrap();
-        let cu = |key: &str| -> u64 { c.get(key).and_then(Json::as_u64).unwrap() };
-        let p = v.get("phases").unwrap();
-        let pu = |key: &str| -> u64 { p.get(key).and_then(Json::as_u64).unwrap() };
-        let abort = v.get("abort").map(|a| Abort {
-            reason: a.get("reason").and_then(Json::as_str).unwrap().to_string(),
-            budget: a.get("budget").and_then(Json::as_u64).unwrap(),
-            spent: a.get("spent").and_then(Json::as_u64).unwrap(),
-            resumable: a.get("resumable").and_then(Json::as_bool).unwrap(),
-        });
+        RunReport::from_json_value(&Json::parse(input)?)
+    }
+
+    /// Decodes and validates a parsed report in one pass: the schema name,
+    /// `version` equal to [`SCHEMA_VERSION`], every field with its type,
+    /// the closed outcome vocabulary, and the rule that an `abort` object
+    /// is present exactly when the outcome is an abort label, with
+    /// `abort.reason` equal to the outcome. Unknown keys are ignored.
+    pub fn from_json_value(v: &Json) -> Result<RunReport, String> {
+        let text = |key| field(v, key, Json::as_str, "string").map(str::to_string);
+        let schema = text("schema")?;
+        if schema != SCHEMA_NAME {
+            return Err(format!("bad schema `{schema}` (want `{SCHEMA_NAME}`)"));
+        }
+        let version = field(v, "version", Json::as_u64, "integer")?;
+        if version != SCHEMA_VERSION {
+            return Err(format!(
+                "unsupported schema version {version} (want {SCHEMA_VERSION})"
+            ));
+        }
+        let outcome = text("outcome")?;
+        let abortish = ABORT_LABELS.contains(&outcome.as_str());
+        if !abortish && outcome != "holds" && outcome != "violated" {
+            return Err(format!("unknown outcome `{outcome}`"));
+        }
+        let abort = match (v.get("abort"), abortish) {
+            (None, false) => None,
+            (None, true) => return Err(format!("outcome `{outcome}` requires an `abort` object")),
+            (Some(_), false) => {
+                return Err(format!("outcome `{outcome}` forbids an `abort` object"))
+            }
+            (Some(a), true) => {
+                let reason = field(a, "reason", Json::as_str, "string abort")?;
+                if reason != outcome {
+                    return Err(format!(
+                        "abort.reason `{reason}` does not match outcome `{outcome}`"
+                    ));
+                }
+                Some(Abort {
+                    reason: outcome.clone(),
+                    budget: field(a, "budget", Json::as_u64, "integer abort")?,
+                    spent: field(a, "spent", Json::as_u64, "integer abort")?,
+                    resumable: field(a, "resumable", Json::as_bool, "bool abort")?,
+                })
+            }
+        };
+        let block = |key| v.get(key).ok_or_else(|| format!("missing `{key}` object"));
+        let (mut counters, mut phases) = (Counters::default(), PhaseTimes::default());
+        let counter_block = block("counters")?;
+        read_uints(counter_block, counters.fields_mut())?;
+        counters.truncated = field(counter_block, "truncated", Json::as_bool, "bool")?;
+        read_uints(block("phases")?, phases.fields_mut())?;
         Ok(RunReport {
-            entry_point: s("entry_point"),
-            engine: s("engine"),
-            reduction: s("reduction"),
-            rule_eval: s("rule_eval"),
-            outcome: s("outcome"),
+            entry_point: text("entry_point")?,
+            engine: text("engine")?,
+            reduction: text("reduction")?,
+            rule_eval: text("rule_eval")?,
+            outcome,
             abort,
-            valuations_checked: u("valuations_checked"),
-            domain_size: u("domain_size"),
-            counters: Counters {
-                states_visited: cu("states_visited"),
-                transitions_explored: cu("transitions_explored"),
-                states_expanded: cu("states_expanded"),
-                ample_hits: cu("ample_hits"),
-                full_expansions: cu("full_expansions"),
-                rule_evals: cu("rule_evals"),
-                rule_cache_hits: cu("rule_cache_hits"),
-                rule_cache_misses: cu("rule_cache_misses"),
-                // v1/v2 documents predate the NBA cache counters.
-                nba_cache_hits: c.get("nba_cache_hits").and_then(Json::as_u64).unwrap_or(0),
-                nba_cache_misses: c
-                    .get("nba_cache_misses")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
-                // v1–v3 documents predate the supervisor counter.
-                crash_recoveries: c
-                    .get("crash_recoveries")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
-                // v1–v4 documents predate the vacuous-valuation counter.
-                valuations_vacuous: c
-                    .get("valuations_vacuous")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
-                // v1–v5 documents predate the symmetry counter.
-                symmetry_merges: c.get("symmetry_merges").and_then(Json::as_u64).unwrap_or(0),
-                truncated: c.get("truncated").and_then(Json::as_bool).unwrap(),
-            },
-            phases: PhaseTimes {
-                nba_translation_ns: pu("nba_translation_ns"),
-                boot_ns: pu("boot_ns"),
-                successor_ns: pu("successor_ns"),
-                rule_eval_ns: pu("rule_eval_ns"),
-                queue_bookkeeping_ns: pu("queue_bookkeeping_ns"),
-                lasso_ns: pu("lasso_ns"),
-                counterexample_ns: pu("counterexample_ns"),
-                total_ns: pu("total_ns"),
-            },
+            valuations_checked: field(v, "valuations_checked", Json::as_u64, "integer")?,
+            domain_size: field(v, "domain_size", Json::as_u64, "integer")?,
+            counters,
+            phases,
         })
     }
 
@@ -387,147 +424,6 @@ impl RunReport {
         }
         r
     }
-}
-
-/// Validates a parsed JSON document against every run-report schema
-/// version this crate understands ([`MIN_SCHEMA_VERSION`] ..=
-/// [`SCHEMA_VERSION`]): schema name, version, every required field with
-/// the right type, a closed per-version outcome vocabulary, and — for v2
-/// documents — the coherence rule that the `abort` object is present
-/// exactly when the outcome is an abort label, with `abort.reason` equal
-/// to the outcome.
-pub fn validate_run_report(v: &Json) -> Result<(), String> {
-    if !matches!(v, Json::Object(_)) {
-        return Err("run report must be a JSON object".into());
-    }
-    match v.get("schema").and_then(Json::as_str) {
-        Some(SCHEMA_NAME) => {}
-        other => return Err(format!("bad schema field: {other:?}")),
-    }
-    let version = match v.get("version").and_then(Json::as_u64) {
-        Some(n) if (MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&n) => n,
-        other => return Err(format!("unsupported schema version: {other:?}")),
-    };
-    for key in ["entry_point", "engine", "reduction", "rule_eval", "outcome"] {
-        if v.get(key).and_then(Json::as_str).is_none() {
-            return Err(format!("missing or non-string field `{key}`"));
-        }
-    }
-    let outcome = v.get("outcome").and_then(Json::as_str).unwrap();
-    let abortish = matches!(
-        outcome,
-        "budget_exceeded" | "deadline_exceeded" | "cancelled" | "worker_panicked"
-    );
-    let known = match version {
-        1 => matches!(outcome, "holds" | "violated" | "budget_exceeded"),
-        _ => matches!(outcome, "holds" | "violated") || abortish,
-    };
-    if !known {
-        return Err(format!("unknown outcome `{outcome}` for version {version}"));
-    }
-    match (version, v.get("abort"), abortish) {
-        (1, None, _) => {}
-        (1, Some(_), _) => return Err("v1 report carries an `abort` object".into()),
-        (_, None, false) => {}
-        (_, None, true) => {
-            return Err(format!("outcome `{outcome}` requires an `abort` object"));
-        }
-        (_, Some(_), false) => {
-            return Err(format!("outcome `{outcome}` forbids an `abort` object"));
-        }
-        (_, Some(a), true) => {
-            match a.get("reason").and_then(Json::as_str) {
-                Some(reason) if reason == outcome => {}
-                other => {
-                    return Err(format!(
-                        "abort.reason {other:?} does not match outcome `{outcome}`"
-                    ));
-                }
-            }
-            for key in ["budget", "spent"] {
-                if a.get(key).and_then(Json::as_u64).is_none() {
-                    return Err(format!("missing or non-integer abort field `{key}`"));
-                }
-            }
-            if a.get("resumable").and_then(Json::as_bool).is_none() {
-                return Err("missing or non-bool abort field `resumable`".into());
-            }
-        }
-    }
-    for key in ["valuations_checked", "domain_size"] {
-        if v.get(key).and_then(Json::as_u64).is_none() {
-            return Err(format!("missing or non-integer field `{key}`"));
-        }
-    }
-    let counters = v
-        .get("counters")
-        .ok_or("missing `counters` object".to_string())?;
-    for key in [
-        "states_visited",
-        "transitions_explored",
-        "states_expanded",
-        "ample_hits",
-        "full_expansions",
-        "rule_evals",
-        "rule_cache_hits",
-        "rule_cache_misses",
-    ] {
-        if counters.get(key).and_then(Json::as_u64).is_none() {
-            return Err(format!("missing or non-integer counter `{key}`"));
-        }
-    }
-    if version >= 3 {
-        for key in ["nba_cache_hits", "nba_cache_misses"] {
-            if counters.get(key).and_then(Json::as_u64).is_none() {
-                return Err(format!("missing or non-integer counter `{key}`"));
-            }
-        }
-    }
-    if version >= 4
-        && counters
-            .get("crash_recoveries")
-            .and_then(Json::as_u64)
-            .is_none()
-    {
-        return Err("missing or non-integer counter `crash_recoveries`".into());
-    }
-    if version >= 5
-        && counters
-            .get("valuations_vacuous")
-            .and_then(Json::as_u64)
-            .is_none()
-    {
-        return Err("missing or non-integer counter `valuations_vacuous`".into());
-    }
-    if version >= 6
-        && counters
-            .get("symmetry_merges")
-            .and_then(Json::as_u64)
-            .is_none()
-    {
-        return Err("missing or non-integer counter `symmetry_merges`".into());
-    }
-    if counters.get("truncated").and_then(Json::as_bool).is_none() {
-        return Err("missing or non-bool counter `truncated`".into());
-    }
-    let phases = v
-        .get("phases")
-        .ok_or("missing `phases` object".to_string())?;
-    for key in [
-        "nba_translation_ns",
-        "boot_ns",
-        "successor_ns",
-        "rule_eval_ns",
-        "queue_bookkeeping_ns",
-        "lasso_ns",
-        "counterexample_ns",
-        "total_ns",
-    ] {
-        if phases.get(key).and_then(Json::as_u64).is_none() {
-            return Err(format!("missing or non-integer phase `{key}`"));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -598,15 +494,49 @@ mod tests {
     #[test]
     fn validation_rejects_tampered_documents() {
         let r = sample();
-        assert!(validate_run_report(&r.to_json_value()).is_ok());
+        assert!(RunReport::from_json_value(&r.to_json_value()).is_ok());
         let bad_schema = r.to_json().replace("ddws.run-report", "other.schema");
         assert!(RunReport::from_json(&bad_schema).is_err());
-        let bad_version = r.to_json().replace("\"version\":6", "\"version\":99");
-        assert!(RunReport::from_json(&bad_version).is_err());
+        // Every version but the current one is an error, older ones included.
+        for version in (0..=10).chain([99, u64::MAX]) {
+            let doc = r
+                .to_json()
+                .replace("\"version\":6", &format!("\"version\":{version}"));
+            assert_eq!(
+                RunReport::from_json(&doc).is_ok(),
+                version == SCHEMA_VERSION
+            );
+        }
         let bad_outcome = r.to_json().replace("\"holds\"", "\"maybe\"");
         assert!(RunReport::from_json(&bad_outcome).is_err());
         let missing = r.to_json().replace("\"states_visited\":10,", "");
         assert!(RunReport::from_json(&missing).is_err());
+    }
+
+    #[test]
+    fn every_counter_and_phase_key_is_required() {
+        let r = sample();
+        let (mut c, mut p) = (r.counters, r.phases);
+        let keys: Vec<(&str, &str)> = c
+            .fields_mut()
+            .into_iter()
+            .map(|(k, _)| ("counters", k))
+            .chain([("counters", "truncated")])
+            .chain(p.fields_mut().into_iter().map(|(k, _)| ("phases", k)))
+            .collect();
+        assert_eq!(keys.len(), 22);
+        for (block, key) in keys {
+            let mut doc = r.to_json_value();
+            let Json::Object(fields) = &mut doc else {
+                unreachable!()
+            };
+            let (_, Json::Object(inner)) = fields.iter_mut().find(|(k, _)| k == block).unwrap()
+            else {
+                unreachable!()
+            };
+            inner.retain(|(k, _)| k != key);
+            assert!(RunReport::from_json_value(&doc).is_err(), "{block}.{key}");
+        }
     }
 
     #[test]
@@ -624,125 +554,20 @@ mod tests {
         // Abort-ish outcome without an abort object.
         let mut r = aborted_sample();
         r.abort = None;
-        assert!(validate_run_report(&r.to_json_value()).is_err());
+        assert!(RunReport::from_json_value(&r.to_json_value()).is_err());
         // Abort object on a verdict outcome.
         let mut r = aborted_sample();
         r.outcome = "holds".into();
-        assert!(validate_run_report(&r.to_json_value()).is_err());
+        assert!(RunReport::from_json_value(&r.to_json_value()).is_err());
         // Reason disagreeing with the outcome.
         let mut r = aborted_sample();
         r.abort.as_mut().unwrap().reason = "cancelled".into();
-        assert!(validate_run_report(&r.to_json_value()).is_err());
+        assert!(RunReport::from_json_value(&r.to_json_value()).is_err());
         // Wrongly typed `resumable`.
         let bad = aborted_sample()
             .to_json()
             .replace("\"resumable\":true", "\"resumable\":1");
         assert!(RunReport::from_json(&bad).is_err());
-    }
-
-    #[test]
-    fn v1_documents_are_still_accepted() {
-        // A v1 report: version 1, no abort object, v1 outcome vocabulary.
-        let v1 = sample()
-            .to_json()
-            .replace("\"version\":6", "\"version\":1")
-            .replace("\"holds\"", "\"budget_exceeded\"");
-        let decoded = RunReport::from_json(&v1).unwrap();
-        assert_eq!(decoded.outcome, "budget_exceeded");
-        assert_eq!(decoded.abort, None);
-        // The v2-only outcome vocabulary is rejected under version 1...
-        let v1_new_outcome = sample()
-            .to_json()
-            .replace("\"version\":6", "\"version\":1")
-            .replace("\"holds\"", "\"cancelled\"");
-        assert!(RunReport::from_json(&v1_new_outcome).is_err());
-        // ...and so is a v1 document carrying an abort object.
-        let v1_with_abort = aborted_sample()
-            .to_json()
-            .replace("\"version\":6", "\"version\":1");
-        assert!(RunReport::from_json(&v1_with_abort).is_err());
-    }
-
-    #[test]
-    fn v2_documents_are_still_accepted() {
-        // A v2 report: version 2, abort object allowed, no NBA counters.
-        let v2 = aborted_sample()
-            .to_json()
-            .replace("\"version\":6", "\"version\":2")
-            .replace("\"nba_cache_hits\":2,\"nba_cache_misses\":1,", "")
-            .replace("\"crash_recoveries\":3,", "")
-            .replace("\"valuations_vacuous\":4,", "")
-            .replace("\"symmetry_merges\":5,", "");
-        let decoded = RunReport::from_json(&v2).unwrap();
-        assert_eq!(decoded.outcome, "budget_exceeded");
-        assert!(decoded.abort.is_some());
-        assert_eq!(decoded.counters.nba_cache_hits, 0);
-        assert_eq!(decoded.counters.nba_cache_misses, 0);
-        // A v3+ document missing the NBA counters is rejected.
-        let v3_missing = aborted_sample()
-            .to_json()
-            .replace("\"nba_cache_hits\":2,\"nba_cache_misses\":1,", "");
-        assert!(RunReport::from_json(&v3_missing).is_err());
-    }
-
-    #[test]
-    fn v3_documents_are_still_accepted() {
-        // A v3 report: NBA counters present, no `crash_recoveries`.
-        let v3 = aborted_sample()
-            .to_json()
-            .replace("\"version\":6", "\"version\":3")
-            .replace("\"crash_recoveries\":3,", "")
-            .replace("\"valuations_vacuous\":4,", "")
-            .replace("\"symmetry_merges\":5,", "");
-        let decoded = RunReport::from_json(&v3).unwrap();
-        assert_eq!(decoded.counters.crash_recoveries, 0);
-        assert_eq!(decoded.counters.nba_cache_hits, 2);
-        // A v4 document missing the supervisor counter is rejected.
-        let v4_missing = aborted_sample()
-            .to_json()
-            .replace("\"version\":6", "\"version\":4")
-            .replace("\"crash_recoveries\":3,", "")
-            .replace("\"valuations_vacuous\":4,", "")
-            .replace("\"symmetry_merges\":5,", "");
-        assert!(RunReport::from_json(&v4_missing).is_err());
-    }
-
-    #[test]
-    fn v4_documents_are_still_accepted() {
-        // A v4 report: supervisor counter present, no `valuations_vacuous`.
-        let v4 = aborted_sample()
-            .to_json()
-            .replace("\"version\":6", "\"version\":4")
-            .replace("\"valuations_vacuous\":4,", "")
-            .replace("\"symmetry_merges\":5,", "");
-        let decoded = RunReport::from_json(&v4).unwrap();
-        assert_eq!(decoded.counters.valuations_vacuous, 0);
-        assert_eq!(decoded.counters.crash_recoveries, 3);
-        // A v5 document missing the vacuous-valuation counter is rejected.
-        let v5_missing = aborted_sample()
-            .to_json()
-            .replace("\"version\":6", "\"version\":5")
-            .replace("\"valuations_vacuous\":4,", "")
-            .replace("\"symmetry_merges\":5,", "");
-        assert!(RunReport::from_json(&v5_missing).is_err());
-    }
-
-    #[test]
-    fn v5_documents_are_still_accepted() {
-        // A v5 report: vacuous-valuation counter present, no
-        // `symmetry_merges`.
-        let v5 = aborted_sample()
-            .to_json()
-            .replace("\"version\":6", "\"version\":5")
-            .replace("\"symmetry_merges\":5,", "");
-        let decoded = RunReport::from_json(&v5).unwrap();
-        assert_eq!(decoded.counters.symmetry_merges, 0);
-        assert_eq!(decoded.counters.valuations_vacuous, 4);
-        // A v6 document missing the symmetry counter is rejected.
-        let v6_missing = aborted_sample()
-            .to_json()
-            .replace("\"symmetry_merges\":5,", "");
-        assert!(RunReport::from_json(&v6_missing).is_err());
     }
 
     #[test]

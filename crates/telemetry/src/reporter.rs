@@ -1,7 +1,8 @@
 //! Reporter sinks, progress snapshots, and the telemetry bundle engines
 //! thread through their search loops.
 
-use crate::report::RunReport;
+use crate::json::Json;
+use crate::report::{read_uints, uint_fields, RunReport};
 use std::fmt;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -33,25 +34,39 @@ pub struct Progress {
 }
 
 impl Progress {
-    /// Fraction of reduction-active expansions answered from an ample
-    /// subset, in `[0, 1]`; 0 when reduction is inactive.
-    pub fn ample_ratio(&self) -> f64 {
-        let total = self.ample_hits + self.full_expansions;
-        if total == 0 {
-            0.0
-        } else {
-            self.ample_hits as f64 / total as f64
-        }
+    /// The counters under their JSON keys, in serialization order: the
+    /// single list the encoder and the decoder both walk.
+    fn fields_mut(&mut self) -> [(&'static str, &mut u64); 9] {
+        [
+            ("elapsed_ns", &mut self.elapsed_ns),
+            ("states_visited", &mut self.states_visited),
+            ("states_per_sec", &mut self.states_per_sec),
+            ("frontier", &mut self.frontier),
+            ("depth", &mut self.depth),
+            ("ample_hits", &mut self.ample_hits),
+            ("full_expansions", &mut self.full_expansions),
+            ("rule_cache_hits", &mut self.rule_cache_hits),
+            ("rule_cache_misses", &mut self.rule_cache_misses),
+        ]
     }
 
-    /// Rule-cache hit rate in `[0, 1]`; 0 before any evaluation.
-    pub fn rule_cache_hit_rate(&self) -> f64 {
-        let total = self.rule_cache_hits + self.rule_cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.rule_cache_hits as f64 / total as f64
-        }
+    /// The snapshot as a JSON object, one integer field per counter in
+    /// declaration order: the encoding of the wire's `telemetry` frames
+    /// and, behind an `"event":"progress"` key, of [`JsonLinesReporter`].
+    pub fn to_json_value(&self) -> Json {
+        Json::Object(self.json_fields())
+    }
+
+    fn json_fields(mut self) -> Vec<(String, Json)> {
+        uint_fields(self.fields_mut())
+    }
+
+    /// Decodes a snapshot from the object [`Progress::to_json_value`]
+    /// writes; every counter is required.
+    pub fn from_json_value(v: &Json) -> Result<Progress, String> {
+        let mut p = Progress::default();
+        read_uints(v, p.fields_mut())?;
+        Ok(p)
     }
 }
 
@@ -106,73 +121,6 @@ impl fmt::Debug for ReporterHandle {
     }
 }
 
-/// Human-readable reporter: one progress line per snapshot and a short
-/// summary block for the final report.
-pub struct HumanReporter {
-    sink: Mutex<Box<dyn Write + Send>>,
-}
-
-impl HumanReporter {
-    /// Reports to standard error.
-    pub fn stderr() -> HumanReporter {
-        HumanReporter::to_writer(Box::new(std::io::stderr()))
-    }
-
-    /// Reports to an arbitrary writer.
-    pub fn to_writer(sink: Box<dyn Write + Send>) -> HumanReporter {
-        HumanReporter {
-            sink: Mutex::new(sink),
-        }
-    }
-}
-
-impl Reporter for HumanReporter {
-    fn progress(&self, s: &Progress) {
-        let mut sink = self.sink.lock().unwrap();
-        let _ = writeln!(
-            sink,
-            "[search {:>6.1}s] {} states ({} st/s), frontier {}, depth {}, \
-             ample {:.0}%, cache {:.0}%",
-            s.elapsed_ns as f64 / 1e9,
-            s.states_visited,
-            s.states_per_sec,
-            s.frontier,
-            s.depth,
-            s.ample_ratio() * 100.0,
-            s.rule_cache_hit_rate() * 100.0,
-        );
-    }
-
-    fn report(&self, r: &RunReport) {
-        let mut sink = self.sink.lock().unwrap();
-        let c = &r.counters;
-        let p = &r.phases;
-        let _ = writeln!(
-            sink,
-            "[{} {}/{}/{}] {} in {:.3}s: {} states, {} transitions, \
-             {} expanded (ample {}, full {}), {} rule evals \
-             ({} hit / {} miss), {} valuations over domain of {}{}",
-            r.entry_point,
-            r.engine,
-            r.reduction,
-            r.rule_eval,
-            r.outcome,
-            p.total_ns as f64 / 1e9,
-            c.states_visited,
-            c.transitions_explored,
-            c.states_expanded,
-            c.ample_hits,
-            c.full_expansions,
-            c.rule_evals,
-            c.rule_cache_hits,
-            c.rule_cache_misses,
-            r.valuations_checked,
-            r.domain_size,
-            if c.truncated { " [truncated]" } else { "" },
-        );
-    }
-}
-
 /// JSON-lines reporter: progress snapshots as `{"event":"progress",...}`
 /// lines, the final report as its canonical run-report object (which
 /// self-identifies via its `schema` field).
@@ -196,23 +144,10 @@ impl JsonLinesReporter {
 
 impl Reporter for JsonLinesReporter {
     fn progress(&self, s: &Progress) {
+        let mut line = vec![("event".to_string(), Json::Str("progress".into()))];
+        line.extend(s.json_fields());
         let mut sink = self.sink.lock().unwrap();
-        let _ = writeln!(
-            sink,
-            "{{\"event\":\"progress\",\"elapsed_ns\":{},\"states_visited\":{},\
-             \"states_per_sec\":{},\"frontier\":{},\"depth\":{},\
-             \"ample_hits\":{},\"full_expansions\":{},\
-             \"rule_cache_hits\":{},\"rule_cache_misses\":{}}}",
-            s.elapsed_ns,
-            s.states_visited,
-            s.states_per_sec,
-            s.frontier,
-            s.depth,
-            s.ample_hits,
-            s.full_expansions,
-            s.rule_cache_hits,
-            s.rule_cache_misses,
-        );
+        let _ = writeln!(sink, "{}", Json::Object(line));
     }
 
     fn report(&self, r: &RunReport) {
@@ -535,12 +470,38 @@ mod tests {
         let text = String::from_utf8(shared.0.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
-        let progress = crate::Json::parse(lines[0]).unwrap();
         assert_eq!(
-            progress.get("event").and_then(crate::Json::as_str),
-            Some("progress")
+            lines[0],
+            "{\"event\":\"progress\",\"elapsed_ns\":0,\"states_visited\":5,\
+             \"states_per_sec\":0,\"frontier\":0,\"depth\":0,\"ample_hits\":0,\
+             \"full_expansions\":0,\"rule_cache_hits\":0,\"rule_cache_misses\":0}"
         );
         let report = crate::Json::parse(lines[1]).unwrap();
-        crate::validate_run_report(&report).unwrap();
+        RunReport::from_json_value(&report).unwrap();
+    }
+
+    #[test]
+    fn progress_round_trips_and_requires_every_counter() {
+        let p = Progress {
+            elapsed_ns: 1,
+            states_visited: 2,
+            states_per_sec: 3,
+            frontier: 4,
+            depth: 5,
+            ample_hits: 6,
+            full_expansions: 7,
+            rule_cache_hits: 8,
+            rule_cache_misses: 9,
+        };
+        let v = p.to_json_value();
+        assert_eq!(Progress::from_json_value(&v), Ok(p));
+        let Json::Object(fields) = v else {
+            unreachable!()
+        };
+        for i in 0..fields.len() {
+            let mut fewer = fields.clone();
+            fewer.remove(i);
+            assert!(Progress::from_json_value(&Json::Object(fewer)).is_err());
+        }
     }
 }

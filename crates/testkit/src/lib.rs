@@ -15,6 +15,8 @@
 //!   tests (e.g. `Reduction::Ample` vs `Reduction::Full`);
 //! * [`faults`] — seeded deterministic fault plans (panic-at-Nth-expansion,
 //!   cancel-at-Nth, deadline-now) for driving the engines' abort paths;
+//! * [`mutate`] — seeded byte-level mutation (flip, delete, insert,
+//!   truncate, splice) of valid inputs, for decoder-totality tests;
 //! * [`contract`] (feature `contract`, pulls in `ddws-verifier`) — the
 //!   shared robustness/report contract assertions used by the fault
 //!   swarm, the telemetry invariant suite, and the deterministic
@@ -32,6 +34,7 @@ pub mod compgen;
 pub mod contract;
 pub mod faults;
 pub mod gen;
+pub mod mutate;
 pub mod proptest;
 pub mod rng;
 

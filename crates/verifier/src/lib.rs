@@ -69,7 +69,7 @@ pub use ddws_automata::{wall_clock, Clock, ClockHandle, ManualClock, WallClock};
 // Telemetry surface, re-exported so downstream users configure reporting
 // and run control without depending on `ddws-telemetry` directly.
 pub use ddws_telemetry::{
-    validate_run_report, Abort, AbortReason, BufferReporter, CancelToken, Counters, FaultHook,
-    HumanReporter, JsonLinesReporter, PhaseTimes, Progress, Reporter, ReporterHandle, RunReport,
-    Silent, StreamReporter, TelemetryEvent, MIN_SCHEMA_VERSION, SCHEMA_NAME, SCHEMA_VERSION,
+    Abort, AbortReason, BufferReporter, CancelToken, Counters, FaultHook, JsonLinesReporter,
+    PhaseTimes, Progress, Reporter, ReporterHandle, RunReport, Silent, StreamReporter,
+    TelemetryEvent, SCHEMA_NAME, SCHEMA_VERSION,
 };

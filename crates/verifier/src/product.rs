@@ -34,7 +34,7 @@ use ddws_model::{
     CompactConfig, CompactView, CompiledRules, Composition, Config, EvalCtx, IndependenceOracle,
     Mover, RuleCache, StatePool, ValueClasses, ValuePerm,
 };
-use ddws_relational::{Instance, Interner as MeteredInterner, Value};
+use ddws_relational::{Instance, Interner, Value};
 use ddws_telemetry::{RuleMeterSource, SearchStats};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -66,93 +66,10 @@ pub enum PState {
     },
 }
 
-/// Shard count for the interners and caches: enough to keep lock
-/// contention low at the thread counts the engine targets (≤ 32 workers)
-/// without wasting memory on sequential runs.
-const SHARD_BITS: u32 = 4;
-const SHARDS: usize = 1 << SHARD_BITS;
-
-/// A deterministic shard index (`DefaultHasher::new()` is keyless, unlike
-/// `RandomState`, so shard layout is stable across runs).
-fn shard_of<T: Hash>(item: &T) -> usize {
-    let mut h = DefaultHasher::new();
-    item.hash(&mut h);
-    (h.finish() as usize) & (SHARDS - 1)
-}
-
-struct InternerShard<T> {
-    items: Vec<Arc<T>>,
-    ids: HashMap<Arc<T>, u32>,
-}
-
-impl<T> Default for InternerShard<T> {
-    fn default() -> Self {
-        InternerShard {
-            items: Vec::new(),
-            ids: HashMap::new(),
-        }
-    }
-}
-
-/// Thread-safe interner for hash-heavy values (configurations, oracles).
-///
-/// Ids encode their shard in the low [`SHARD_BITS`] bits and the position
-/// within the shard above them, so resolution never consults a directory.
-struct Interner<T> {
-    shards: Vec<RwLock<InternerShard<T>>>,
-}
-
-impl<T> Default for Interner<T> {
-    fn default() -> Self {
-        Interner {
-            shards: (0..SHARDS).map(|_| RwLock::default()).collect(),
-        }
-    }
-}
-
-impl<T: Hash + Eq> Interner<T> {
-    fn intern(&self, item: T) -> u32 {
-        let sh = shard_of(&item);
-        {
-            let shard = self.shards[sh].read().expect("interner shard poisoned");
-            if let Some(&id) = shard.ids.get(&item) {
-                return id;
-            }
-        }
-        let mut shard = self.shards[sh].write().expect("interner shard poisoned");
-        if let Some(&id) = shard.ids.get(&item) {
-            return id;
-        }
-        let local = u32::try_from(shard.items.len()).expect("interner overflow");
-        let id = (local << SHARD_BITS) | sh as u32;
-        assert!(id >> SHARD_BITS == local, "interner overflow");
-        let arc = Arc::new(item);
-        shard.items.push(Arc::clone(&arc));
-        shard.ids.insert(arc, id);
-        id
-    }
-
-    fn get(&self, id: u32) -> Arc<T> {
-        let shard = self.shards[id as usize & (SHARDS - 1)]
-            .read()
-            .expect("interner shard poisoned");
-        Arc::clone(&shard.items[(id >> SHARD_BITS) as usize])
-    }
-
-    fn approx_bytes(&self, cost: impl Fn(&T) -> usize) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.read()
-                    .expect("interner shard poisoned")
-                    .items
-                    .iter()
-                    .map(|item| cost(item))
-                    .sum::<usize>()
-            })
-            .sum()
-    }
-}
+/// Shard count for the caches: enough to keep lock contention low at the
+/// thread counts the engine targets (≤ 32 workers) without wasting memory
+/// on sequential runs.
+const SHARDS: usize = 16;
 
 /// A sharded `HashMap` cache; values are cloned out under a read lock.
 /// Callers store `Arc`-wrapped successor sets (`Arc<[u32]>`,
@@ -171,8 +88,16 @@ impl<K, V> Default for ShardedMap<K, V> {
 }
 
 impl<K: Hash + Eq, V: Clone> ShardedMap<K, V> {
+    /// The shard holding `key` (`DefaultHasher::new()` is keyless, unlike
+    /// `RandomState`, so the layout is stable across runs).
+    fn shard(&self, key: &K) -> &RwLock<HashMap<K, V>> {
+        let mut h = DefaultHasher::new();
+        key.hash(&mut h);
+        &self.shards[h.finish() as usize % SHARDS]
+    }
+
     fn get(&self, key: &K) -> Option<V> {
-        self.shards[shard_of(key)]
+        self.shard(key)
             .read()
             .expect("cache shard poisoned")
             .get(key)
@@ -180,7 +105,7 @@ impl<K: Hash + Eq, V: Clone> ShardedMap<K, V> {
     }
 
     fn insert(&self, key: K, value: V) {
-        self.shards[shard_of(&key)]
+        self.shard(&key)
             .write()
             .expect("cache shard poisoned")
             .insert(key, value);
@@ -188,9 +113,7 @@ impl<K: Hash + Eq, V: Clone> ShardedMap<K, V> {
 
     /// Inserts unless the key is present; whether this call inserted.
     fn insert_new(&self, key: K, value: V) -> bool {
-        let mut shard = self.shards[shard_of(&key)]
-            .write()
-            .expect("cache shard poisoned");
+        let mut shard = self.shard(&key).write().expect("cache shard poisoned");
         match shard.entry(key) {
             std::collections::hash_map::Entry::Occupied(_) => false,
             std::collections::hash_map::Entry::Vacant(slot) => {
@@ -212,7 +135,7 @@ type StepResult = Result<Arc<[u32]>, usize>;
 /// `SearchStats`' intern counters satisfy `hits + misses == calls` exactly.
 pub(crate) struct CompactSpace {
     pub(crate) pool: StatePool,
-    pub(crate) configs: MeteredInterner<CompactConfig>,
+    pub(crate) configs: Interner<CompactConfig>,
 }
 
 /// Search state shared across the valuations of one `check` call: the
@@ -220,7 +143,6 @@ pub(crate) struct CompactSpace {
 /// depend only on (config, mover, oracle) — not on the property valuation —
 /// so sharing them makes every valuation after the first traverse the
 /// already-expanded graph instead of re-evaluating every rule.
-#[derive(Default)]
 pub struct SharedSearch {
     configs: Interner<Config>,
     /// Compact state space; `Some` routes configurations through the
@@ -235,9 +157,9 @@ pub struct SharedSearch {
     /// Compiled rule plans; `None` routes rule bodies through the FO
     /// interpreter (the oracle of record).
     compiled: Option<CompiledRules>,
-    /// Footprint-keyed rule memo table and rule-evaluation metrics; `None`
-    /// leaves evaluation unmetered (the pre-compilation behaviour).
-    rule_cache: Option<RuleCache>,
+    /// Footprint-keyed rule memo table and rule-evaluation metrics (timing
+    /// only under the interpreter).
+    rule_cache: RuleCache,
     /// Nanoseconds spent computing fresh boot expansions (cache misses in
     /// `boots` — re-reads cost nothing and are not timed).
     boot_ns: AtomicU64,
@@ -247,10 +169,18 @@ pub struct SharedSearch {
 }
 
 impl SharedSearch {
-    /// Creates an empty shared search state evaluating rules through the
-    /// FO interpreter, unmetered — the pre-compilation behaviour.
-    pub fn new() -> Self {
-        Self::default()
+    fn with_rules(compiled: Option<CompiledRules>, rule_cache: RuleCache) -> Self {
+        SharedSearch {
+            configs: Interner::new(),
+            compact: None,
+            oracles: Interner::new(),
+            steps: ShardedMap::default(),
+            boots: ShardedMap::default(),
+            compiled,
+            rule_cache,
+            boot_ns: AtomicU64::new(0),
+            step_ns: AtomicU64::new(0),
+        }
     }
 
     /// Shared state that evaluates rules through compiled join/filter/
@@ -264,21 +194,14 @@ impl SharedSearch {
     pub fn compiled(comp: &Composition) -> Self {
         let compiled = CompiledRules::new(comp);
         let rule_cache = RuleCache::new(&compiled);
-        SharedSearch {
-            compiled: Some(compiled),
-            rule_cache: Some(rule_cache),
-            ..Default::default()
-        }
+        SharedSearch::with_rules(Some(compiled), rule_cache)
     }
 
     /// Shared state that evaluates rules through the FO interpreter but
     /// still meters evaluation time, so compiled-vs-interpreted timings in
     /// [`ddws_automata::emptiness::SearchStats`] are comparable.
     pub fn interpreted_metered() -> Self {
-        SharedSearch {
-            rule_cache: Some(RuleCache::timing_only()),
-            ..Default::default()
-        }
+        SharedSearch::with_rules(None, RuleCache::timing_only())
     }
 
     /// Switches this shared state to the compact (hash-consed, bit-packed)
@@ -294,7 +217,7 @@ impl SharedSearch {
     pub fn with_compact(mut self, comp: &Composition, value_capacity: usize) -> Self {
         self.compact = Some(CompactSpace {
             pool: StatePool::new(comp, value_capacity),
-            configs: MeteredInterner::new(),
+            configs: Interner::new(),
         });
         self
     }
@@ -336,17 +259,15 @@ impl SharedSearch {
     pub(crate) fn eval_ctx(&self) -> EvalCtx<'_> {
         EvalCtx {
             compiled: self.compiled.as_ref(),
-            cache: self.rule_cache.as_ref(),
+            cache: Some(&self.rule_cache),
         }
     }
 
     /// Accumulated rule-evaluation metrics: (cache hits, cache misses,
-    /// nanoseconds spent evaluating rules). All zero when unmetered.
+    /// nanoseconds spent evaluating rules).
     pub fn rule_stats(&self) -> (u64, u64, u64) {
-        match &self.rule_cache {
-            Some(c) => (c.hits(), c.misses(), c.eval_ns()),
-            None => (0, 0, 0),
-        }
+        let c = &self.rule_cache;
+        (c.hits(), c.misses(), c.eval_ns())
     }
 
     /// Writes this shared state's accumulated meters — rule-cache counts,
@@ -357,12 +278,11 @@ impl SharedSearch {
     /// Callers that build a fresh `SharedSearch` per sub-search fold each
     /// one and then `absorb` the per-search stats as usual.
     pub fn fold_into(&self, stats: &mut SearchStats) {
-        if let Some(c) = &self.rule_cache {
-            stats.rule_evals = c.evals();
-            stats.rule_cache_hits = c.hits();
-            stats.rule_cache_misses = c.misses();
-            stats.rule_eval_ns = c.eval_ns();
-        }
+        let c = &self.rule_cache;
+        stats.rule_evals = c.evals();
+        stats.rule_cache_hits = c.hits();
+        stats.rule_cache_misses = c.misses();
+        stats.rule_eval_ns = c.eval_ns();
         stats.boot_ns = self.boot_ns.load(Ordering::Relaxed);
         stats.successor_ns = self.step_ns.load(Ordering::Relaxed);
         let (calls, hits, misses) = self.intern_stats();
@@ -374,10 +294,7 @@ impl SharedSearch {
 
 impl RuleMeterSource for SharedSearch {
     fn rule_cache_counts(&self) -> (u64, u64) {
-        match &self.rule_cache {
-            Some(c) => (c.hits(), c.misses()),
-            None => (0, 0),
-        }
+        (self.rule_cache.hits(), self.rule_cache.misses())
     }
 }
 
@@ -481,7 +398,7 @@ impl<'a> ProductSystem<'a> {
                 (id, perm)
             }
             None => {
-                let (rep, perm) = self.shared.configs.get(raw).canonical(classes);
+                let (rep, perm) = self.shared.configs.resolve(raw).canonical(classes);
                 let id = if perm.is_identity() {
                     raw
                 } else {
@@ -556,13 +473,13 @@ impl<'a> ProductSystem<'a> {
     pub fn config(&self, id: u32) -> Arc<Config> {
         match &self.shared.compact {
             Some(space) => Arc::new(space.pool.expand(self.comp, &space.configs.resolve(id))),
-            None => self.shared.configs.get(id),
+            None => self.shared.configs.resolve(id),
         }
     }
 
     /// Resolves an interned oracle.
     pub fn oracle(&self, id: u32) -> Arc<Oracle> {
-        self.shared.oracles.get(id)
+        self.shared.oracles.resolve(id)
     }
 
     fn intern_config(&self, c: Config) -> u32 {

@@ -211,7 +211,7 @@ mod tests {
         assert_eq!(abort.budget, 16);
         assert_eq!(abort.spent, 17);
         assert!(abort.resumable);
-        ddws_telemetry::validate_run_report(&report.to_json_value())
+        ddws_telemetry::RunReport::from_json_value(&report.to_json_value())
             .expect("abort report round-trips the schema");
     }
 }

@@ -1,6 +1,8 @@
 //! Synthetic relay chains for scaling experiments (EXPERIMENTS.md, E7):
 //! `n` peers `P0 → P1 → … → P{n-1}` forward a token; the state-space size
 //! grows with the chain length, the queue bound and the domain size.
+//! [`nested_relay`] is the state-heavy three-peer variant over nested
+//! channels that E13, E14 and the symmetry suite share.
 
 use ddws_model::{Composition, CompositionBuilder, QueueKind, Semantics};
 use ddws_relational::{Instance, Tuple};
@@ -182,6 +184,116 @@ fn add_phase_ring(b: &mut CompositionBuilder, peer: &str, rel: &str, ring: usize
             &["x"],
             &format!("{ground} and {audit}(x) and ({})", step_body("x")),
         );
+}
+
+/// The state-heavy *nested relay* (experiments E13 and E14): `P0` emits
+/// its `m` database tokens `t0..` over a nested channel, `P1` joins them
+/// against its `m` private `mine` rows `a0..` into the arity-2
+/// accumulator `seen2` and ships the whole extension downstream (again
+/// nested), and `P2` records what arrived in `got`. All channels are lossy.
+///
+/// * `ring ≥ 2` gives `P1` a `ring`-phase rotor and a `mark` audit rule
+///   reading `seen2` — the rule-dense E10 shape on top of the heavy
+///   extensions.
+/// * `pool > 0` gives `P1` a `pool` relation of `pool` constants `p0..`
+///   and an insert-only `stock` of every value it knows
+///   (`mine(x) or pool(x) or ?hop(x)`). Each pool constant enlarges the
+///   domain by one universal valuation that no analysis can fold — E14's
+///   many-valuation regime.
+/// * `twin` adds `P0`'s unread `order` relation, a successor chain over
+///   the tokens and over the private rows, which breaks every value
+///   symmetry (the *asymmetric twin* of DESIGN.md §3.16).
+///
+/// Returns the composition and its fixed database. The declaration and
+/// interning order is part of the definition: the committed E13/E14
+/// state counts are measured on exactly this construction.
+pub fn nested_relay(m: usize, ring: usize, pool: usize, twin: bool) -> (Composition, Instance) {
+    let mut b = CompositionBuilder::new();
+    b.semantics(Semantics::default());
+    b.default_lossy(true);
+    b.channel("hop", 1, QueueKind::Nested, "P0", "P1");
+    b.channel("rep", 2, QueueKind::Nested, "P1", "P2");
+    b.peer("P0")
+        .database("token", 1)
+        .input("emit", 1)
+        .input_rule("emit", &["x"], "token(x)")
+        .send_rule("hop", &["x"], "emit(x)");
+    let mut p1 = b.peer("P1");
+    p1.database("mine", 1);
+    if pool > 0 {
+        p1.database("pool", 1);
+    }
+    p1.state("seen2", 2);
+    if pool > 0 {
+        p1.state("stock", 1);
+    }
+    p1.state_insert_rule("seen2", &["x", "y"], "mine(x) and ?hop(y)");
+    if pool > 0 {
+        p1.state_insert_rule("stock", &["x"], "mine(x) or pool(x) or ?hop(x)");
+    }
+    p1.send_rule("rep", &["x", "y"], "seen2(x, y)");
+    b.peer("P2")
+        .state("got", 2)
+        .state_insert_rule("got", &["x", "y"], "?rep(x, y)");
+    if twin {
+        b.peer("P0").database("order", 2);
+    }
+    if ring >= 2 {
+        let all = (0..ring)
+            .map(|i| format!("phase(\"r{i}\")"))
+            .collect::<Vec<_>>()
+            .join(" or ");
+        let mut arms = vec![format!("(x = \"r0\" and not ({all}))")];
+        for i in 0..ring {
+            let others = (0..ring)
+                .filter(|&j| j != i)
+                .map(|j| format!("phase(\"r{j}\")"))
+                .collect::<Vec<_>>()
+                .join(" or ");
+            arms.push(format!(
+                "(x = \"r{}\" and phase(\"r{i}\") and not ({others}))",
+                (i + 1) % ring
+            ));
+        }
+        b.peer("P1")
+            .state("phase", 1)
+            .state_insert_rule("phase", &["x"], &arms.join(" or "))
+            .state_delete_rule("phase", &["x"], "phase(x)")
+            .state("mark", 1)
+            .state_insert_rule(
+                "mark",
+                &["x"],
+                "mine(x) and seen2(x, \"t0\") and phase(\"r0\")",
+            );
+    }
+    let mut comp = b.build().expect("nested relay composition is well-formed");
+    let mut db = Instance::empty(&comp.voc);
+    let token = comp.voc.lookup("P0.token").unwrap();
+    let mine = comp.voc.lookup("P1.mine").unwrap();
+    for i in 0..m {
+        let t = comp.symbols.intern(&format!("t{i}"));
+        db.relation_mut(token).insert(Tuple::new(vec![t]));
+        let a = comp.symbols.intern(&format!("a{i}"));
+        db.relation_mut(mine).insert(Tuple::new(vec![a]));
+    }
+    if pool > 0 {
+        let pool_rel = comp.voc.lookup("P1.pool").unwrap();
+        for i in 0..pool {
+            let p = comp.symbols.intern(&format!("p{i}"));
+            db.relation_mut(pool_rel).insert(Tuple::new(vec![p]));
+        }
+    }
+    if twin {
+        let order = comp.voc.lookup("P0.order").unwrap();
+        for prefix in ["t", "a"] {
+            for i in 1..m {
+                let from = comp.symbols.lookup(&format!("{prefix}{}", i - 1)).unwrap();
+                let to = comp.symbols.lookup(&format!("{prefix}{i}")).unwrap();
+                db.relation_mut(order).insert(Tuple::new(vec![from, to]));
+            }
+        }
+    }
+    (comp, db)
 }
 
 /// A database with `m` candidate tokens.

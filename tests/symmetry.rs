@@ -15,9 +15,9 @@
 
 mod common;
 
-use ddws::scenarios::{bank_loan, ecommerce, travel};
+use ddws::scenarios::{bank_loan, chains, ecommerce, travel};
 use ddws_logic::input_bounded::RelClass;
-use ddws_model::{Composition, CompositionBuilder, QueueKind, Semantics, ValueClasses};
+use ddws_model::{Composition, CompositionBuilder, Semantics, ValueClasses};
 use ddws_relational::{Instance, Tuple};
 use ddws_testkit::{compgen, gen, seed_from};
 use ddws_verifier::{DatabaseMode, Outcome, Reduction, Report, StateRepr, Verifier, VerifyOptions};
@@ -155,45 +155,13 @@ fn base_opts() -> VerifyOptions {
     }
 }
 
-/// E13's relay chain over `m` tokens and `m` private rows.
-fn relay(m: usize) -> (Composition, Instance) {
-    let mut b = CompositionBuilder::new();
-    b.semantics(Semantics::default());
-    b.default_lossy(true);
-    b.channel("hop", 1, QueueKind::Nested, "P0", "P1");
-    b.channel("rep", 2, QueueKind::Nested, "P1", "P2");
-    b.peer("P0")
-        .database("token", 1)
-        .input("emit", 1)
-        .input_rule("emit", &["x"], "token(x)")
-        .send_rule("hop", &["x"], "emit(x)");
-    b.peer("P1")
-        .database("mine", 1)
-        .state("seen2", 2)
-        .state_insert_rule("seen2", &["x", "y"], "mine(x) and ?hop(y)")
-        .send_rule("rep", &["x", "y"], "seen2(x, y)");
-    b.peer("P2")
-        .state("got", 2)
-        .state_insert_rule("got", &["x", "y"], "?rep(x, y)");
-    let mut comp = b.build().expect("relay chain builds");
-    let mut db = Instance::empty(&comp.voc);
-    for (rel, prefix) in [("P0.token", "t"), ("P1.mine", "a")] {
-        let id = comp.voc.lookup(rel).expect("declared relation");
-        for i in 0..m {
-            let v = comp.symbols.intern(&format!("{prefix}{i}"));
-            db.relation_mut(id).insert(Tuple::new(vec![v]));
-        }
-    }
-    (comp, db)
-}
-
 const RELAY_HOLDS: &str = "G (forall x: P0.emit(x) -> P0.token(x))";
 const RELAY_VIOLATED: &str = "G (forall x: P0.emit(x) -> false)";
 
 #[test]
 fn relay_chains_match_their_twins_across_the_engine_matrix() {
     for m in 2..=4 {
-        let (comp, db) = relay(m);
+        let (comp, db) = chains::nested_relay(m, 0, 0, false);
         for threads in [None, Some(2)] {
             for reduction in [Reduction::Full, Reduction::Ample] {
                 for state_repr in [StateRepr::Compact, StateRepr::Legacy] {

@@ -26,7 +26,6 @@ mod common;
 use ddws::scenarios::{bank_loan, chains, ecommerce, travel};
 use ddws_model::Semantics;
 use ddws_relational::Instance;
-use ddws_telemetry::validate_run_report;
 use ddws_testkit::faults::{FaultPlan, INJECTED_PANIC};
 use ddws_testkit::{compgen, gen, seed_from};
 use ddws_verifier::{
@@ -614,7 +613,7 @@ fn abort_reports_are_labelled_on_every_entry_point() {
                 entry_point: "bench".into(),
                 ..report
             };
-            validate_run_report(&bench.to_json_value())
+            RunReport::from_json_value(&bench.to_json_value())
                 .unwrap_or_else(|e| panic!("bench/{label}: schema violation: {e}"));
         }
 
