@@ -106,79 +106,19 @@ pub struct Lasso<S> {
 /// every existing `ddws_automata::SearchStats` path working.
 pub use ddws_telemetry::SearchStats;
 
-/// The search's state budget was exhausted before an answer was reached.
-///
-/// The cap is checked between expansions, so `states_visited` may exceed
-/// the configured maximum by one (the state whose expansion tripped it).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BudgetExceeded {
-    /// States visited when the budget tripped.
-    pub states_visited: u64,
-    /// The partial statistics at abort time, with `truncated` set.
-    pub stats: SearchStats,
-}
-
-impl std::fmt::Display for BudgetExceeded {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "state budget exhausted after {} states",
-            self.states_visited
-        )
-    }
-}
-
-impl std::error::Error for BudgetExceeded {}
-
-/// The outcome of a budgeted lasso search: the witness (if any) plus the
-/// exploration statistics, or budget exhaustion. The error is boxed —
-/// [`BudgetExceeded`] carries the full [`SearchStats`] snapshot, and the
-/// exhaustion path is cold.
-pub type SearchResult<S> = Result<(Option<Lasso<S>>, SearchStats), Box<BudgetExceeded>>;
-
 /// Searches for an accepting lasso; `None` means the language is empty.
 pub fn find_accepting_lasso<TS: TransitionSystem>(ts: &TS) -> Option<Lasso<TS::State>> {
-    find_accepting_lasso_stats(ts).0
-}
-
-/// [`find_accepting_lasso`] with exploration statistics.
-pub fn find_accepting_lasso_stats<TS: TransitionSystem>(
-    ts: &TS,
-) -> (Option<Lasso<TS::State>>, SearchStats) {
-    find_accepting_lasso_budget(ts, u64::MAX).expect("unlimited budget")
-}
-
-/// [`find_accepting_lasso_stats`] with a cap on visited states — the
-/// verifier's safety valve against state-space blowups (and the measuring
-/// device of the `boundaries` crate's divergence experiments).
-pub fn find_accepting_lasso_budget<TS: TransitionSystem>(
-    ts: &TS,
-    max_states: u64,
-) -> SearchResult<TS::State> {
-    find_accepting_lasso_budget_with(ts, max_states, &EngineTelemetry::silent())
-}
-
-/// [`find_accepting_lasso_budget`] with a telemetry bundle.
-///
-/// Compatibility wrapper over [`find_accepting_lasso_limits_with`] for
-/// callers that only budget states: interruption maps back to
-/// [`BudgetExceeded`], and a panic in the transition system propagates
-/// (the limits-based API catches it into a typed stop instead).
-pub fn find_accepting_lasso_budget_with<TS: TransitionSystem>(
-    ts: &TS,
-    max_states: u64,
-    tel: &EngineTelemetry<'_>,
-) -> SearchResult<TS::State> {
-    match find_accepting_lasso_limits_with(ts, &SearchLimits::states(max_states), tel) {
-        Ok(found) => Ok(found),
+    match find_accepting_lasso_limits_with(
+        ts,
+        &SearchLimits::unbounded(),
+        &EngineTelemetry::silent(),
+    ) {
+        Ok((lasso, _)) => lasso,
         Err(stop) => match stop.reason {
             AbortReason::WorkerPanicked { payload, .. } => {
                 std::panic::resume_unwind(Box::new(payload))
             }
-            _ => Err(Box::new(BudgetExceeded {
-                states_visited: stop.stats.states_visited,
-                stats: stop.stats,
-            })),
+            reason => unreachable!("an unlimited search stopped: {reason}"),
         },
     }
 }
@@ -674,6 +614,12 @@ mod tests {
     use super::test_graphs::{c3_trap, ReducedGraph};
     use super::*;
 
+    /// An unlimited sequential search: the witness and the statistics.
+    fn search<TS: TransitionSystem>(ts: &TS) -> (Option<Lasso<TS::State>>, SearchStats) {
+        find_accepting_lasso_limits_with(ts, &SearchLimits::unbounded(), &EngineTelemetry::silent())
+            .unwrap_or_else(|stop| panic!("an unlimited search stopped: {}", stop.reason))
+    }
+
     /// A small explicit graph for testing.
     struct Graph {
         edges: Vec<Vec<usize>>,
@@ -778,7 +724,7 @@ mod tests {
             accepting: vec![false, false, false],
             initial: vec![0],
         };
-        let (lasso, stats) = find_accepting_lasso_stats(&g);
+        let (lasso, stats) = search(&g);
         assert!(lasso.is_none());
         assert_eq!(stats.states_visited, 3);
         assert_eq!(stats.transitions_explored, 2);
@@ -803,7 +749,7 @@ mod tests {
     #[test]
     fn c3_proviso_recovers_hidden_lasso() {
         let g = c3_trap();
-        let (lasso, stats) = find_accepting_lasso_stats(&g);
+        let (lasso, stats) = search(&g);
         let lasso = lasso.expect("C3 must restore the full expansion at 1");
         assert!(
             lasso.cycle.contains(&2),
@@ -826,7 +772,7 @@ mod tests {
             initial: vec![0],
             ample: vec![Some(vec![1]), None, None, None],
         };
-        let (lasso, stats) = find_accepting_lasso_stats(&g);
+        let (lasso, stats) = search(&g);
         assert!(lasso.is_none());
         assert_eq!(stats.ample_hits, 1);
         assert_eq!(
@@ -846,10 +792,15 @@ mod tests {
             accepting: vec![false; n],
             initial: vec![0],
         };
-        let err = find_accepting_lasso_budget(&g, 10).expect_err("budget must trip");
+        let err = find_accepting_lasso_limits_with(
+            &g,
+            &SearchLimits::states(10),
+            &EngineTelemetry::silent(),
+        )
+        .expect_err("budget must trip");
         assert!(err.stats.truncated);
-        assert_eq!(err.stats.states_visited, err.states_visited);
-        assert!(err.states_visited > 10 && err.states_visited <= 12);
+        assert_eq!(err.reason, AbortReason::StateBudget { max_states: 10 });
+        assert!(err.stats.states_visited > 10 && err.stats.states_visited <= 12);
     }
 
     /// The reduction-accounting invariant the telemetry suite relies on:
@@ -859,7 +810,7 @@ mod tests {
     #[test]
     fn expansion_accounting_invariants() {
         let g = c3_trap();
-        let (_, stats) = find_accepting_lasso_stats(&g);
+        let (_, stats) = search(&g);
         assert_eq!(
             stats.ample_hits + stats.full_expansions,
             stats.states_expanded
@@ -869,7 +820,7 @@ mod tests {
             accepting: vec![false, false, false],
             initial: vec![0],
         };
-        let (_, stats) = find_accepting_lasso_stats(&g);
+        let (_, stats) = search(&g);
         assert_eq!(stats.ample_hits, 0);
         assert_eq!(stats.full_expansions, 0);
         assert_eq!(stats.states_expanded, 3, "one blue expansion per state");
@@ -896,7 +847,8 @@ mod tests {
             gate: Some(&gate),
             rule_meter: None,
         };
-        let (lasso, _) = find_accepting_lasso_budget_with(&g, u64::MAX, &tel).unwrap();
+        let (lasso, _) =
+            find_accepting_lasso_limits_with(&g, &SearchLimits::unbounded(), &tel).unwrap();
         assert!(lasso.is_none());
         let snaps = buf.snapshots();
         assert!(!snaps.is_empty(), "stride crossings must emit snapshots");

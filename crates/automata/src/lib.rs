@@ -41,9 +41,8 @@ pub mod product;
 pub mod translate;
 
 pub use emptiness::{
-    find_accepting_lasso, find_accepting_lasso_budget, find_accepting_lasso_budget_with,
-    find_accepting_lasso_limits_with, BudgetExceeded, Expansion, Lasso, SearchStats, SeqCheckpoint,
-    TransitionSystem,
+    find_accepting_lasso, find_accepting_lasso_limits_with, Expansion, Lasso, SearchStats,
+    SeqCheckpoint, TransitionSystem,
 };
 pub use guard::{Guard, Letter};
 pub use limits::{
@@ -52,8 +51,5 @@ pub use limits::{
 };
 pub use ltl::Ltl;
 pub use nba::{Nba, StateId};
-pub use parallel::{
-    find_accepting_lasso_budget_parallel, find_accepting_lasso_budget_parallel_with,
-    find_accepting_lasso_limits_parallel_with, ParCheckpoint,
-};
+pub use parallel::{find_accepting_lasso_limits_parallel_with, ParCheckpoint};
 pub use translate::ltl_to_nba;

@@ -257,7 +257,7 @@ pub(crate) fn payload_string(payload: Box<dyn std::any::Any + Send>) -> String {
 mod tests {
     use super::*;
     use crate::emptiness::{
-        find_accepting_lasso_limits_with, find_accepting_lasso_stats,
+        find_accepting_lasso_limits_with,
         test_graphs::{c3_trap, ReducedGraph},
     };
     use crate::parallel::find_accepting_lasso_limits_parallel_with;
@@ -286,6 +286,13 @@ mod tests {
 
     fn tel() -> EngineTelemetry<'static> {
         EngineTelemetry::silent()
+    }
+
+    /// The unlimited sequential verdict and statistics, the reference
+    /// every stopped-and-resumed search must reproduce.
+    fn unlimited(g: &ReducedGraph) -> (Option<Lasso<usize>>, SearchStats) {
+        find_accepting_lasso_limits_with(g, &SearchLimits::unbounded(), &tel())
+            .expect("an unlimited search finishes")
     }
 
     #[test]
@@ -345,7 +352,7 @@ mod tests {
     fn budget_checkpoint_resumes_to_the_unbounded_verdict_seq() {
         for &accepting in &[false, true] {
             let g = chain(64, accepting);
-            let (expected, full_stats) = find_accepting_lasso_stats(&g);
+            let (expected, full_stats) = unlimited(&g);
             let stop = find_accepting_lasso_limits_with(&g, &SearchLimits::states(10), &tel())
                 .expect_err("budget must trip");
             assert!(matches!(
@@ -374,7 +381,7 @@ mod tests {
     fn budget_checkpoint_resumes_to_the_unbounded_verdict_par() {
         for &accepting in &[false, true] {
             let g = chain(64, accepting);
-            let (expected, full_stats) = find_accepting_lasso_stats(&g);
+            let (expected, full_stats) = unlimited(&g);
             for threads in [1usize, 2, 4] {
                 let stop = find_accepting_lasso_limits_parallel_with(
                     &g,
@@ -408,7 +415,7 @@ mod tests {
         // Resume in small budget increments; each leg trips until the
         // budget finally covers the graph.
         let g = chain(50, true);
-        let (expected, _) = find_accepting_lasso_stats(&g);
+        let (expected, _) = unlimited(&g);
         let mut stop = find_accepting_lasso_limits_with(&g, &SearchLimits::states(8), &tel())
             .expect_err("first leg trips");
         let mut budget = 8u64;
@@ -469,7 +476,7 @@ mod tests {
         // Cancellation injected mid-search on the C3 trap: the resumed
         // run must still recover the reduction-hidden lasso.
         let g = c3_trap();
-        let (expected, _) = find_accepting_lasso_stats(&g);
+        let (expected, _) = unlimited(&g);
         assert!(expected.is_some());
         let token = CancelToken::new();
         let hook_token = token.clone();

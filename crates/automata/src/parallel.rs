@@ -1,7 +1,7 @@
 //! Parallel accepting-lasso search (Büchi emptiness) over a shared
 //! [`TransitionSystem`].
 //!
-//! The sequential engine ([`find_accepting_lasso_budget`]) runs CVWY
+//! The sequential engine ([`find_accepting_lasso_limits_with`]) runs CVWY
 //! nested DFS, which is inherently sequential: its correctness leans on
 //! postorder. Instead of a concurrent nested DFS, this engine splits the
 //! problem into a phase that parallelizes perfectly and a phase that is
@@ -31,9 +31,7 @@
 //! reachable graph before looking for lassos, so a `Violated` verdict
 //! requires a budget no smaller than the reachable state count.
 
-use crate::emptiness::{
-    BudgetExceeded, Lasso, SearchResult, SearchStats, TransitionSystem, PROGRESS_STRIDE_MASK,
-};
+use crate::emptiness::{Lasso, SearchStats, TransitionSystem, PROGRESS_STRIDE_MASK};
 use crate::limits::{payload_string, EngineCheckpoint, Interrupted, LimitedResult, SearchLimits};
 use ddws_telemetry::{AbortReason, EngineTelemetry};
 use std::collections::hash_map::Entry;
@@ -45,7 +43,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 #[cfg(doc)]
-use crate::emptiness::find_accepting_lasso_budget;
+use crate::emptiness::find_accepting_lasso_limits_with;
 
 /// Visited-set shards; a power of two well above any sane worker count so
 /// shard collisions between concurrent inserts stay rare.
@@ -282,53 +280,6 @@ fn explore_worker_into<TS: TransitionSystem>(
         // resume treats recorded-but-unvisited targets as pending work.
         log.edges.push((state, succs));
         frontier.pending.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// Parallel counterpart of [`find_accepting_lasso_budget`]: same signature
-/// plus a worker count, same verdict for any budget at least the reachable
-/// state count (see the module docs for the budget caveat below that).
-///
-/// `threads = 0` uses [`std::thread::available_parallelism`]; `threads = 1`
-/// still runs this engine (single worker), which is how the differential
-/// harness pins scheduling out of the comparison.
-pub fn find_accepting_lasso_budget_parallel<TS: TransitionSystem>(
-    ts: &TS,
-    max_states: u64,
-    threads: usize,
-) -> SearchResult<TS::State> {
-    find_accepting_lasso_budget_parallel_with(ts, max_states, threads, &EngineTelemetry::silent())
-}
-
-/// [`find_accepting_lasso_budget_parallel`] with a telemetry bundle.
-///
-/// Compatibility wrapper over
-/// [`find_accepting_lasso_limits_parallel_with`] for callers that only
-/// budget states: interruption maps back to [`BudgetExceeded`], and a
-/// worker panic propagates (the limits-based API catches it into a typed
-/// stop instead).
-pub fn find_accepting_lasso_budget_parallel_with<TS: TransitionSystem>(
-    ts: &TS,
-    max_states: u64,
-    threads: usize,
-    tel: &EngineTelemetry<'_>,
-) -> SearchResult<TS::State> {
-    match find_accepting_lasso_limits_parallel_with(
-        ts,
-        &SearchLimits::states(max_states),
-        threads,
-        tel,
-    ) {
-        Ok(found) => Ok(found),
-        Err(stop) => match stop.reason {
-            AbortReason::WorkerPanicked { payload, .. } => {
-                std::panic::resume_unwind(Box::new(payload))
-            }
-            _ => Err(Box::new(BudgetExceeded {
-                states_visited: stop.stats.states_visited,
-                stats: stop.stats,
-            })),
-        },
     }
 }
 
@@ -737,7 +688,21 @@ fn tarjan_sccs(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::emptiness::find_accepting_lasso_budget;
+    use crate::emptiness::find_accepting_lasso_limits_with;
+
+    /// The parallel engine under a state budget alone.
+    fn par<TS: TransitionSystem>(
+        ts: &TS,
+        max_states: u64,
+        threads: usize,
+    ) -> LimitedResult<TS::State> {
+        find_accepting_lasso_limits_parallel_with(
+            ts,
+            &SearchLimits::states(max_states),
+            threads,
+            &EngineTelemetry::silent(),
+        )
+    }
 
     struct Graph {
         edges: Vec<Vec<usize>>,
@@ -807,9 +772,14 @@ mod tests {
     fn verdict_matches_sequential_on_layered_graphs() {
         for &accepting in &[true, false] {
             let g = layered(8, 6, accepting);
-            let seq = find_accepting_lasso_budget(&g, u64::MAX).unwrap();
+            let seq = find_accepting_lasso_limits_with(
+                &g,
+                &SearchLimits::unbounded(),
+                &EngineTelemetry::silent(),
+            )
+            .unwrap();
             for threads in [1, 2, 4] {
-                let par = find_accepting_lasso_budget_parallel(&g, u64::MAX, threads).unwrap();
+                let par = par(&g, u64::MAX, threads).unwrap();
                 assert_eq!(seq.0.is_some(), par.0.is_some(), "threads={threads}");
                 if seq.0.is_none() {
                     // On empty languages both engines visit the whole
@@ -833,7 +803,7 @@ mod tests {
             initial: vec![0],
         };
         for threads in [1, 3] {
-            let (lasso, _) = find_accepting_lasso_budget_parallel(&g, u64::MAX, threads).unwrap();
+            let (lasso, _) = par(&g, u64::MAX, threads).unwrap();
             assert_valid_lasso(&g, &lasso.unwrap());
         }
     }
@@ -845,7 +815,7 @@ mod tests {
             accepting: vec![false, true, false],
             initial: vec![0, 2],
         };
-        let (lasso, stats) = find_accepting_lasso_budget_parallel(&g, u64::MAX, 2).unwrap();
+        let (lasso, stats) = par(&g, u64::MAX, 2).unwrap();
         assert!(lasso.is_none());
         assert_eq!(stats.states_visited, 3);
     }
@@ -854,19 +824,18 @@ mod tests {
     fn budget_trips_with_bounded_overshoot() {
         let g = layered(10, 50, false); // 502 states
         for threads in [1usize, 2, 4] {
-            let err =
-                find_accepting_lasso_budget_parallel(&g, 100, threads).expect_err("over budget");
-            assert!(err.states_visited > 100);
+            let err = par(&g, 100, threads).expect_err("over budget");
+            let visited = err.stats.states_visited;
+            assert!(visited > 100);
             assert!(
-                err.states_visited <= 100 + threads as u64 + 1,
-                "overshoot {} with {threads} threads",
-                err.states_visited
+                visited <= 100 + threads as u64 + 1,
+                "overshoot {visited} with {threads} threads"
             );
             assert!(
                 err.stats.truncated,
                 "threads={threads}: abort stats flagged"
             );
-            assert_eq!(err.stats.states_visited, err.states_visited);
+            assert_eq!(err.reason, AbortReason::StateBudget { max_states: 100 });
         }
     }
 
@@ -878,8 +847,7 @@ mod tests {
         // full expansion, recovering the lasso through the accepting state.
         let g = crate::emptiness::test_graphs::c3_trap();
         for threads in [1usize, 2, 4] {
-            let (lasso, stats) =
-                find_accepting_lasso_budget_parallel(&g, u64::MAX, threads).unwrap();
+            let (lasso, stats) = par(&g, u64::MAX, threads).unwrap();
             let lasso = lasso.expect("C3 fallback must restore the full expansion");
             assert!(lasso.cycle.contains(&2), "threads={threads}");
             assert_eq!(stats.ample_hits, 0);
@@ -897,7 +865,7 @@ mod tests {
             initial: vec![0],
             ample: vec![Some(vec![1]), None, None, None],
         };
-        let (lasso, stats) = find_accepting_lasso_budget_parallel(&g, u64::MAX, 1).unwrap();
+        let (lasso, stats) = par(&g, u64::MAX, 1).unwrap();
         assert!(lasso.is_none());
         assert_eq!(stats.ample_hits, 1);
         assert_eq!(
@@ -909,7 +877,7 @@ mod tests {
     #[test]
     fn zero_threads_means_available_parallelism() {
         let g = layered(4, 4, true);
-        let (lasso, _) = find_accepting_lasso_budget_parallel(&g, u64::MAX, 0).unwrap();
+        let (lasso, _) = par(&g, u64::MAX, 0).unwrap();
         assert_valid_lasso(&g, &lasso.unwrap());
     }
 
@@ -920,7 +888,7 @@ mod tests {
             accepting: vec![true],
             initial: vec![0],
         };
-        let (lasso, _) = find_accepting_lasso_budget_parallel(&g, u64::MAX, 2).unwrap();
+        let (lasso, _) = par(&g, u64::MAX, 2).unwrap();
         let lasso = lasso.unwrap();
         assert!(lasso.prefix.is_empty());
         assert_eq!(lasso.cycle, vec![0]);

@@ -15,14 +15,15 @@
 //!   compiled path's overhead when there is little to win.
 //!
 //! After the timing groups the acceptance pass re-measures the rule-dense
-//! workload, asserts the ≥2× bar per engine and writes the medians plus
-//! footprint-cache hit rates to `BENCH_E10.json` at the workspace root.
+//! workload, asserts the ≥2× bar per engine and writes each cell's median
+//! and run report plus the footprint-cache hit rates to `BENCH_E10.json`
+//! at the workspace root.
 
 use ddws::scenarios::chains;
+use ddws_bench::artifact::{self, cell, fixed, Artifact, Object};
 use ddws_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ddws_model::Semantics;
-use ddws_verifier::{DatabaseMode, Report, RuleEval, RunReport, Verifier, VerifyOptions};
-use std::time::Instant;
+use ddws_verifier::{DatabaseMode, Report, RuleEval, Verifier, VerifyOptions};
 
 const ENGINES: [(&str, Option<usize>); 2] = [("seq", None), ("par2", Some(2))];
 const RULE_EVALS: [(&str, RuleEval); 2] = [
@@ -112,39 +113,23 @@ fn bench(c: &mut Criterion) {
 
 /// The E10 acceptance bar, measured once outside the timing loops: on the
 /// rule-dense chain the compiled kernels must at least halve the
-/// end-to-end median wall time on both engines. The medians and the
-/// footprint-cache hit rates land in `BENCH_E10.json`.
+/// end-to-end median wall time on both engines. Each engine's cells and
+/// the footprint-cache hit rate land in `BENCH_E10.json`.
 fn acceptance() {
-    let samples = std::env::var("DDWS_BENCH_SAMPLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(5);
-    let mut rows = Vec::new();
-    let mut bench_report: Option<RunReport> = None;
+    let samples = artifact::samples(5);
+    let mut engines = Object::new();
     for (engine, threads) in ENGINES {
-        let mut medians = Vec::new();
-        let mut hit_rate = 0.0;
-        for (_, rule_eval) in RULE_EVALS {
-            let mut ns: Vec<u128> = Vec::with_capacity(samples);
-            let mut last = None;
-            for _ in 0..samples {
-                let start = Instant::now();
-                let report = check_rule_dense(threads, rule_eval);
-                ns.push(start.elapsed().as_nanos());
-                last = Some(report);
-            }
-            ns.sort_unstable();
-            medians.push(ns[ns.len() / 2]);
-            let report = last.expect("at least one sample");
-            let stats = report.stats;
-            if let RuleEval::Compiled = rule_eval {
-                hit_rate = stats.rule_cache_hits as f64
-                    / (stats.rule_cache_hits + stats.rule_cache_misses).max(1) as f64;
-                bench_report.get_or_insert(report.telemetry);
-            }
-        }
-        let (compiled, interpreted) = (medians[0], medians[1]);
+        let [(compiled, compiled_run)] = artifact::medians(
+            samples,
+            [&mut || check_rule_dense(threads, RuleEval::Compiled)],
+        );
+        let [(interpreted, interpreted_run)] = artifact::medians(
+            samples,
+            [&mut || check_rule_dense(threads, RuleEval::Interpreted)],
+        );
+        let stats = &compiled_run.stats;
+        let hit_rate = stats.rule_cache_hits as f64
+            / (stats.rule_cache_hits + stats.rule_cache_misses).max(1) as f64;
         let speedup = interpreted as f64 / compiled.max(1) as f64;
         println!(
             "e10_rule_kernels/acceptance/{engine}: compiled={compiled}ns \
@@ -155,35 +140,26 @@ fn acceptance() {
             "{engine}: expected >=2x compiled speedup, got {speedup:.2}x \
              ({compiled}ns vs {interpreted}ns)"
         );
-        rows.push(format!(
-            "    \"{engine}\": {{\n      \"compiled_median_ns\": {compiled},\n      \
-             \"interpreted_median_ns\": {interpreted},\n      \
-             \"speedup\": {speedup:.2},\n      \"hit_rate\": {hit_rate:.4}\n    }}"
-        ));
+        engines.push(
+            engine,
+            Object::new()
+                .field("compiled", cell(compiled, &compiled_run.telemetry))
+                .field("interpreted", cell(interpreted, &interpreted_run.telemetry))
+                .field("speedup", fixed(speedup, 2))
+                .field("hit_rate", fixed(hit_rate, 4)),
+        );
     }
-    // The bench harness is itself a reporting entry point (DESIGN.md
-    // §3.9): relabel one measured run's report, validate it against the
-    // schema, and keep it in the artifact.
-    let bench_report = RunReport {
-        entry_point: "bench".into(),
-        ..bench_report.expect("at least one compiled sample")
-    };
-    let report_json = bench_report.to_json();
-    RunReport::from_json(&report_json).expect("bench report validates against the schema");
-
     // E10 has no reduced scale: every run is a full-scale one.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let json = format!(
-        "{{\n  \"experiment\": \"e10_rule_kernels\",\n  \"cores\": {cores},\n  \
-         \"mode\": \"full\",\n  \"samples\": {samples},\n  \"scenario\": {{\n    \
-         \"peers\": {PEERS},\n    \"ring\": {RING},\n    \"tokens\": {TOKENS}\n  }},\n  \
-         \"engines\": {{\n{}\n  }},\n  \
-         \"run_report\": {report_json}\n}}\n",
-        rows.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_E10.json");
-    std::fs::write(path, json).expect("write BENCH_E10.json");
-    println!("e10_rule_kernels/acceptance: wrote {path}");
+    Artifact::new("e10_rule_kernels", false, samples)
+        .field(
+            "scenario",
+            Object::new()
+                .field("peers", PEERS)
+                .field("ring", RING)
+                .field("tokens", TOKENS),
+        )
+        .field("engines", engines)
+        .write();
 }
 
 criterion_group!(benches, bench);

@@ -14,17 +14,18 @@
 //! 5% wall time over `off` on the rule-dense scenario, on both engines.
 //! Samples for the two configurations are interleaved so clock drift hits
 //! both equally, and a small absolute allowance absorbs timer noise on top
-//! of the relative bar. Medians land in `BENCH_E11.json` together with a
-//! schema-validated `RunReport` for the bench entry point itself.
+//! of the relative bar. Each configuration's median and run report land
+//! in `BENCH_E11.json`.
 
 use ddws::scenarios::chains;
+use ddws_bench::artifact::{self, cell, fixed, Artifact, Object};
 use ddws_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ddws_model::Semantics;
 use ddws_verifier::{
-    DatabaseMode, JsonLinesReporter, Report, ReporterHandle, RunReport, Verifier, VerifyOptions,
+    DatabaseMode, JsonLinesReporter, Report, ReporterHandle, Verifier, VerifyOptions,
 };
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const ENGINES: [(&str, Option<usize>, Option<usize>); 3] = [
     ("seq", None, None),
@@ -125,29 +126,16 @@ fn bench(c: &mut Criterion) {
 /// The E11 acceptance bar, measured once outside the timing loops with
 /// `off`/`silent` samples interleaved.
 fn acceptance() {
-    let samples = std::env::var("DDWS_BENCH_SAMPLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(5);
-    let mut rows = Vec::new();
-    let mut bench_report: Option<RunReport> = None;
+    let samples = artifact::samples(5);
+    let mut engines = Object::new();
     for (engine, threads, vt) in ENGINES {
-        let mut off_ns: Vec<u128> = Vec::with_capacity(samples);
-        let mut silent_ns: Vec<u128> = Vec::with_capacity(samples);
-        for _ in 0..samples {
-            let start = Instant::now();
-            std::hint::black_box(check_rule_dense(threads, vt, Config::Off));
-            off_ns.push(start.elapsed().as_nanos());
-
-            let start = Instant::now();
-            let report = check_rule_dense(threads, vt, Config::Silent);
-            silent_ns.push(start.elapsed().as_nanos());
-            bench_report.get_or_insert(report.telemetry);
-        }
-        off_ns.sort_unstable();
-        silent_ns.sort_unstable();
-        let (off, silent) = (off_ns[off_ns.len() / 2], silent_ns[silent_ns.len() / 2]);
+        let [(off, off_run), (silent, silent_run)] = artifact::medians(
+            samples,
+            [
+                &mut || check_rule_dense(threads, vt, Config::Off),
+                &mut || check_rule_dense(threads, vt, Config::Silent),
+            ],
+        );
         let overhead = silent as f64 / off.max(1) as f64 - 1.0;
         println!(
             "e11_telemetry_overhead/acceptance/{engine}: off={off}ns \
@@ -160,36 +148,25 @@ fn acceptance() {
              got {:.2}% ({silent}ns vs {off}ns)",
             overhead * 100.0
         );
-        rows.push(format!(
-            "    \"{engine}\": {{\n      \"off_median_ns\": {off},\n      \
-             \"silent_median_ns\": {silent},\n      \
-             \"overhead\": {overhead:.4}\n    }}"
-        ));
+        engines.push(
+            engine,
+            Object::new()
+                .field("off", cell(off, &off_run.telemetry))
+                .field("silent", cell(silent, &silent_run.telemetry))
+                .field("overhead", fixed(overhead, 4)),
+        );
     }
-
-    // The bench harness is itself a reporting entry point: relabel one
-    // measured run's report and validate it against the schema before it
-    // lands in the artifact.
-    let bench_report = RunReport {
-        entry_point: "bench".into(),
-        ..bench_report.expect("at least one silent sample")
-    };
-    let json = bench_report.to_json();
-    RunReport::from_json(&json).expect("bench report validates against the schema");
-
     // E11 has no reduced scale: every run is a full-scale one.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let out = format!(
-        "{{\n  \"experiment\": \"e11_telemetry_overhead\",\n  \"cores\": {cores},\n  \
-         \"mode\": \"full\",\n  \"samples\": {samples},\n  \"scenario\": {{\n    \
-         \"peers\": {PEERS},\n    \"ring\": {RING},\n    \"tokens\": {TOKENS}\n  }},\n  \
-         \"engines\": {{\n{}\n  }},\n  \
-         \"run_report\": {json}\n}}\n",
-        rows.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_E11.json");
-    std::fs::write(path, out).expect("write BENCH_E11.json");
-    println!("e11_telemetry_overhead/acceptance: wrote {path}");
+    Artifact::new("e11_telemetry_overhead", false, samples)
+        .field(
+            "scenario",
+            Object::new()
+                .field("peers", PEERS)
+                .field("ring", RING)
+                .field("tokens", TOKENS),
+        )
+        .field("engines", engines)
+        .write();
 }
 
 criterion_group!(benches, bench);

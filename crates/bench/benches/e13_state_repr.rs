@@ -38,18 +38,17 @@
 //! where the tokens and the private rows form two classes, against its
 //! twin under the compact representation: verdicts must agree and the
 //! reduced search must visit fewer states. `BENCH_E13.json` at the
-//! workspace root records both before/afters phase by phase, with the
-//! host's core count, the mode and the sample count.
+//! workspace root records both before/afters, each side's median with
+//! its full run report.
 
 use ddws::scenarios::chains;
+use ddws_bench::artifact::{self, fixed, Artifact, Object};
 use ddws_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ddws_model::Composition;
 use ddws_relational::Instance;
 use ddws_verifier::{
-    DatabaseMode, Outcome, Reduction, Report, RuleEval, RunReport, StateRepr, Verifier,
-    VerifyOptions,
+    DatabaseMode, Outcome, Reduction, Report, RuleEval, StateRepr, Verifier, VerifyOptions,
 };
-use std::time::Instant;
 
 const REPRS: [(&str, StateRepr); 2] = [
     ("compact", StateRepr::Compact),
@@ -158,115 +157,65 @@ fn bench(c: &mut Criterion) {
     acceptance();
 }
 
-/// Per-representation measurements of one workload cell.
-struct Cell {
-    median_ns: u128,
-    report: Report,
-}
-
-fn measure(w: &Workload, state_repr: StateRepr, twin: bool, samples: usize) -> Cell {
-    let mut ns: Vec<u128> = Vec::with_capacity(samples);
-    let mut last = None;
-    for _ in 0..samples {
-        let start = Instant::now();
-        let report = check(w, state_repr, twin);
-        ns.push(start.elapsed().as_nanos());
-        last = Some(report);
-    }
-    ns.sort_unstable();
-    Cell {
-        median_ns: ns[ns.len() / 2],
-        report: last.expect("at least one sample"),
-    }
-}
-
-fn phase_json(cell: &Cell) -> String {
-    let s = &cell.report.stats;
-    format!(
-        "{{\n        \"median_ns\": {},\n        \"states_visited\": {},\n        \
-         \"symmetry_merges\": {},\n        \"boot_ns\": {},\n        \
-         \"successor_ns\": {},\n        \"rule_eval_ns\": {},\n        \
-         \"lasso_ns\": {},\n        \"intern_calls\": {}\n      }}",
-        cell.median_ns,
-        s.states_visited,
-        s.symmetry_merges,
-        s.boot_ns,
-        s.successor_ns,
-        s.rule_eval_ns,
-        s.lasso_ns,
-        s.intern_calls
-    )
-}
-
 /// The E13 acceptance bar. Every cell runs under both representations —
 /// the legacy oracle is the differential, not an option — and the
 /// aggregate `total_ns` speedup must clear the bar: ≥5× at full scale,
 /// ≥2× at the reduced smoke scale CI runs (`DDWS_BENCH_SMOKE=1`).
 fn acceptance() {
-    let smoke = std::env::var("DDWS_BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
+    let smoke = artifact::smoke();
     let bar = if smoke { 2.0 } else { 5.0 };
-    let samples = std::env::var("DDWS_BENCH_SAMPLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(3);
+    let samples = artifact::samples(3);
 
-    let mut rows = Vec::new();
+    let mut rows = Object::new();
     let mut total_compact: u128 = 0;
     let mut total_legacy: u128 = 0;
-    let mut bench_report: Option<RunReport> = None;
-    let mut unreduced: Vec<Cell> = Vec::new();
+    let mut unreduced = Vec::new();
     for w in workloads(smoke) {
-        let compact = measure(&w, StateRepr::Compact, true, samples);
-        let legacy = measure(&w, StateRepr::Legacy, true, samples);
+        let [(compact_ns, compact)] =
+            artifact::medians(samples, [&mut || check(&w, StateRepr::Compact, true)]);
+        let [(legacy_ns, legacy)] =
+            artifact::medians(samples, [&mut || check(&w, StateRepr::Legacy, true)]);
         // The legacy-oracle differential cell: both representations must
         // agree exactly on the verdict and the explored graph. Every
         // suite cell holds and runs either sequentially or under the
         // parallel engine with full expansion, so `states_visited` is
         // deterministic and must coincide.
         assert_eq!(
-            (
-                compact.report.outcome.holds(),
-                compact.report.stats.states_visited
-            ),
-            (
-                legacy.report.outcome.holds(),
-                legacy.report.stats.states_visited
-            ),
+            (compact.outcome.holds(), compact.stats.states_visited),
+            (legacy.outcome.holds(), legacy.stats.states_visited),
             "{}: compact and legacy runs diverged — representation bug",
             w.name
         );
-        let speedup = legacy.median_ns as f64 / compact.median_ns.max(1) as f64;
+        let speedup = legacy_ns as f64 / compact_ns.max(1) as f64;
         println!(
-            "e13_state_repr/acceptance/{}: compact={}ns legacy={}ns speedup={speedup:.2}x \
-             visited={}",
-            w.name, compact.median_ns, legacy.median_ns, compact.report.stats.states_visited
+            "e13_state_repr/acceptance/{}: compact={compact_ns}ns legacy={legacy_ns}ns \
+             speedup={speedup:.2}x visited={}",
+            w.name, compact.stats.states_visited
         );
-        total_compact += compact.median_ns;
-        total_legacy += legacy.median_ns;
-        rows.push(format!(
-            "    \"{}\": {{\n      \"scenario\": {{\"m\": {}, \"ring\": {}, \
-             \"threads\": \"{}\", \"reduction\": \"{}\"}},\n      \
-             \"states_visited\": {},\n      \
-             \"differential\": \"verdict+states_visited equal\",\n      \
-             \"compact\": {},\n      \"legacy\": {},\n      \"speedup\": {speedup:.2}\n    }}",
+        total_compact += compact_ns;
+        total_legacy += legacy_ns;
+        let threads = w.threads.map_or("seq".into(), |n| format!("par{n}"));
+        let reduction = if w.reduction == Reduction::Ample {
+            "ample"
+        } else {
+            "full"
+        };
+        let scenario = Object::new()
+            .field("m", w.m)
+            .field("ring", w.ring)
+            .field("threads", threads.as_str())
+            .field("reduction", reduction);
+        rows.push(
             w.name,
-            w.m,
-            w.ring,
-            match w.threads {
-                None => "seq".to_string(),
-                Some(n) => format!("par{n}"),
-            },
-            match w.reduction {
-                Reduction::Ample => "ample",
-                _ => "full",
-            },
-            compact.report.stats.states_visited,
-            phase_json(&compact),
-            phase_json(&legacy),
-        ));
-        bench_report.get_or_insert(compact.report.telemetry.clone());
-        unreduced.push(compact);
+            Object::new()
+                .field("scenario", scenario)
+                .field("states_visited", compact.stats.states_visited)
+                .field("differential", "verdict+states_visited equal")
+                .field("compact", artifact::cell(compact_ns, &compact.telemetry))
+                .field("legacy", artifact::cell(legacy_ns, &legacy.telemetry))
+                .field("speedup", fixed(speedup, 2)),
+        );
+        unreduced.push((compact_ns, compact));
     }
 
     let total_speedup = total_legacy as f64 / total_compact.max(1) as f64;
@@ -283,14 +232,15 @@ fn acceptance() {
 
     // Symmetry reduction: each chain as it stands (tokens and private
     // rows interchangeable) against its twin, both compact.
-    let mut sym_rows = Vec::new();
+    let mut sym_rows = Object::new();
     let (mut total_reduced, mut total_unreduced) = (0u128, 0u128);
-    for (w, twin) in workloads(smoke).iter().zip(&unreduced) {
-        let reduced = measure(w, StateRepr::Compact, false, samples);
-        let (r, t) = (&reduced.report.stats, &twin.report.stats);
+    for (w, (twin_ns, twin)) in workloads(smoke).iter().zip(&unreduced) {
+        let [(reduced_ns, reduced)] =
+            artifact::medians(samples, [&mut || check(w, StateRepr::Compact, false)]);
+        let (r, t) = (&reduced.stats, &twin.stats);
         assert_eq!(
-            reduced.report.outcome.holds(),
-            twin.report.outcome.holds(),
+            reduced.outcome.holds(),
+            twin.outcome.holds(),
             "{}: the symmetry-reduced verdict diverges from the twin's",
             w.name
         );
@@ -301,22 +251,23 @@ fn acceptance() {
             r.states_visited,
             t.states_visited
         );
-        let speedup = twin.median_ns as f64 / reduced.median_ns.max(1) as f64;
+        let speedup = *twin_ns as f64 / reduced_ns.max(1) as f64;
         let states_ratio = t.states_visited as f64 / r.states_visited.max(1) as f64;
         println!(
-            "e13_state_repr/symmetry/{}: reduced={}ns unreduced={}ns speedup={speedup:.2}x \
-             states {} vs {} ({states_ratio:.1}x)",
-            w.name, reduced.median_ns, twin.median_ns, r.states_visited, t.states_visited
+            "e13_state_repr/symmetry/{}: reduced={reduced_ns}ns unreduced={twin_ns}ns \
+             speedup={speedup:.2}x states {} vs {} ({states_ratio:.1}x)",
+            w.name, r.states_visited, t.states_visited
         );
-        total_reduced += reduced.median_ns;
-        total_unreduced += twin.median_ns;
-        sym_rows.push(format!(
-            "    \"{}\": {{\n      \"states_ratio\": {states_ratio:.1},\n      \
-             \"reduced\": {},\n      \"unreduced\": {},\n      \"speedup\": {speedup:.2}\n    }}",
+        total_reduced += reduced_ns;
+        total_unreduced += twin_ns;
+        sym_rows.push(
             w.name,
-            phase_json(&reduced),
-            phase_json(twin),
-        ));
+            Object::new()
+                .field("states_ratio", fixed(states_ratio, 1))
+                .field("reduced", artifact::cell(reduced_ns, &reduced.telemetry))
+                .field("unreduced", artifact::cell(*twin_ns, &twin.telemetry))
+                .field("speedup", fixed(speedup, 2)),
+        );
     }
     let sym_speedup = total_unreduced as f64 / total_reduced.max(1) as f64;
     println!(
@@ -357,35 +308,33 @@ fn acceptance() {
          ({ck_compact}B vs {ck_legacy}B)"
     );
 
-    // The bench harness is itself a reporting entry point (DESIGN.md
-    // §3.9): relabel one measured run's report, validate it against the
-    // schema, and keep it in the artifact.
-    let bench_report = RunReport {
-        entry_point: "bench".into(),
-        ..bench_report.expect("at least one compact sample")
-    };
-    let report_json = bench_report.to_json();
-    RunReport::from_json(&report_json).expect("bench report validates against the schema");
-
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let json = format!(
-        "{{\n  \"experiment\": \"e13_state_repr\",\n  \"cores\": {cores},\n  \"mode\": \"{}\",\n  \
-         \"samples\": {samples},\n  \"speedup_bar\": {bar:.1},\n  \"workloads\": {{\n{}\n  }},\n  \
-         \"total\": {{\n    \"compact_median_ns\": {total_compact},\n    \
-         \"legacy_median_ns\": {total_legacy},\n    \"speedup\": {total_speedup:.2}\n  }},\n  \
-         \"symmetry\": {{\n{}\n  }},\n  \
-         \"symmetry_total\": {{\n    \"reduced_median_ns\": {total_reduced},\n    \
-         \"unreduced_median_ns\": {total_unreduced},\n    \"speedup\": {sym_speedup:.2}\n  }},\n  \
-         \"checkpoint\": {{\n    \"truncated_at_states\": {ck_budget},\n    \
-         \"compact_bytes\": {ck_compact},\n    \"legacy_bytes\": {ck_legacy},\n    \
-         \"shrink\": {shrink:.2}\n  }},\n  \"run_report\": {report_json}\n}}\n",
-        if smoke { "smoke" } else { "full" },
-        rows.join(",\n"),
-        sym_rows.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_E13.json");
-    std::fs::write(path, json).expect("write BENCH_E13.json");
-    println!("e13_state_repr/acceptance: wrote {path}");
+    Artifact::new("e13_state_repr", smoke, samples)
+        .field("speedup_bar", fixed(bar, 1))
+        .field("workloads", rows)
+        .field(
+            "total",
+            Object::new()
+                .field("compact_median_ns", total_compact)
+                .field("legacy_median_ns", total_legacy)
+                .field("speedup", fixed(total_speedup, 2)),
+        )
+        .field("symmetry", sym_rows)
+        .field(
+            "symmetry_total",
+            Object::new()
+                .field("reduced_median_ns", total_reduced)
+                .field("unreduced_median_ns", total_unreduced)
+                .field("speedup", fixed(sym_speedup, 2)),
+        )
+        .field(
+            "checkpoint",
+            Object::new()
+                .field("truncated_at_states", ck_budget)
+                .field("compact_bytes", ck_compact)
+                .field("legacy_bytes", ck_legacy)
+                .field("shrink", fixed(shrink, 2)),
+        )
+        .write();
 }
 
 criterion_group!(benches, bench);

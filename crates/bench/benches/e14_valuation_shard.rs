@@ -22,17 +22,16 @@
 //! scale, ≥1.5× in the `DDWS_BENCH_SMOKE=1` CI configuration) whenever
 //! the host grants ≥4 cores; on smaller hosts the same totals are held
 //! to a no-regression bound instead, because a wall-clock bar for a
-//! 4-way parallel run is not meetable on one core. Per-phase
-//! before/after lands in `BENCH_E14.json` at the workspace root.
+//! 4-way parallel run is not meetable on one core. Each side's median and
+//! run report land in `BENCH_E14.json` at the workspace root.
 
 use ddws::scenarios::chains;
+use ddws_bench::artifact::{self, fixed, Artifact, Object};
 use ddws_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ddws_model::Composition;
 use ddws_relational::Instance;
-use ddws_verifier::{
-    DatabaseMode, Reduction, Report, RuleEval, RunReport, Verifier, VerifyOptions,
-};
-use std::time::Instant;
+use ddws_telemetry::Json;
+use ddws_verifier::{DatabaseMode, Reduction, Report, RuleEval, Verifier, VerifyOptions};
 
 /// One suite cell: a relay chain with `m` live tokens (per-valuation
 /// search cost) and `pool` extra constants (one extra valuation each).
@@ -122,45 +121,6 @@ fn bench(c: &mut Criterion) {
     acceptance();
 }
 
-/// Per-shard-count measurements of one workload cell.
-struct Cell {
-    median_ns: u128,
-    report: Report,
-}
-
-fn measure(w: &Workload, valuation_threads: usize, samples: usize) -> Cell {
-    let mut ns: Vec<u128> = Vec::with_capacity(samples);
-    let mut last = None;
-    for _ in 0..samples {
-        let start = Instant::now();
-        let report = check(w, valuation_threads);
-        ns.push(start.elapsed().as_nanos());
-        last = Some(report);
-    }
-    ns.sort_unstable();
-    Cell {
-        median_ns: ns[ns.len() / 2],
-        report: last.expect("at least one sample"),
-    }
-}
-
-fn phase_json(cell: &Cell) -> String {
-    let s = &cell.report.stats;
-    format!(
-        "{{\n        \"median_ns\": {},\n        \"boot_ns\": {},\n        \
-         \"successor_ns\": {},\n        \"rule_eval_ns\": {},\n        \
-         \"lasso_ns\": {},\n        \"nba_cache_hits\": {},\n        \
-         \"nba_cache_misses\": {}\n      }}",
-        cell.median_ns,
-        s.boot_ns,
-        s.successor_ns,
-        s.rule_eval_ns,
-        s.lasso_ns,
-        s.nba_cache_hits,
-        s.nba_cache_misses
-    )
-}
-
 /// The E14 acceptance bar. Every cell runs under both shard counts —
 /// the `vt1` run is the determinism oracle, not an option — the NBA
 /// cache must hit ≥90%, and on hosts with ≥4 cores the aggregate
@@ -169,56 +129,51 @@ fn phase_json(cell: &Cell) -> String {
 /// no-regression bound instead (the scheduler must not cost wall-clock
 /// when it cannot win any).
 fn acceptance() {
-    let smoke = std::env::var("DDWS_BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
+    let smoke = artifact::smoke();
     let bar = if smoke { 1.5 } else { 3.0 };
-    let samples = std::env::var("DDWS_BENCH_SAMPLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(3);
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let samples = artifact::samples(3);
+    let cores = artifact::cores();
 
-    let mut rows = Vec::new();
+    let mut rows = Object::new();
     let mut total_sharded: u128 = 0;
     let mut total_unsharded: u128 = 0;
-    let mut bench_report: Option<RunReport> = None;
     for w in workloads(smoke) {
-        let unsharded = measure(&w, 1, samples);
-        let sharded = measure(&w, 4, samples);
+        let [(unsharded_ns, unsharded)] = artifact::medians(samples, [&mut || check(&w, 1)]);
+        let [(sharded_ns, sharded)] = artifact::medians(samples, [&mut || check(&w, 4)]);
         // The determinism differential: the shard count may change who
         // runs what when, never what is explored. Every cell holds, so
         // the per-valuation searches all run to completion and the
         // summed traversal counters must coincide exactly.
         assert_eq!(
             (
-                unsharded.report.outcome.holds(),
-                unsharded.report.stats.states_visited,
-                unsharded.report.valuations_checked,
+                unsharded.outcome.holds(),
+                unsharded.stats.states_visited,
+                unsharded.valuations_checked,
             ),
             (
-                sharded.report.outcome.holds(),
-                sharded.report.stats.states_visited,
-                sharded.report.valuations_checked,
+                sharded.outcome.holds(),
+                sharded.stats.states_visited,
+                sharded.valuations_checked,
             ),
             "{}: vt1 and vt4 runs diverged — scheduler bug",
             w.name
         );
         assert_eq!(
-            sharded.report.shard_valuations.len(),
+            sharded.shard_valuations.len(),
             4,
             "{}: vt4 must report one valuation count per shard",
             w.name
         );
         assert_eq!(
-            sharded.report.shard_valuations.iter().sum::<u64>(),
-            sharded.report.valuations_checked as u64,
+            sharded.shard_valuations.iter().sum::<u64>(),
+            sharded.valuations_checked as u64,
             "{}: per-shard valuation counts must partition the total",
             w.name
         );
         // The cache bar: one miss per distinct grounded atom-shape. The
         // single-variable property has exactly one shape, so N
         // valuations translate once and hit N-1 times.
-        let s = &sharded.report.stats;
+        let s = &sharded.stats;
         assert_eq!(
             s.valuations_vacuous, 0,
             "{}: every valuation must stay live so the shards have real work",
@@ -240,35 +195,43 @@ fn acceptance() {
             s.nba_cache_hits,
             lookups
         );
-        let speedup = unsharded.median_ns as f64 / sharded.median_ns.max(1) as f64;
+        let speedup = unsharded_ns as f64 / sharded_ns.max(1) as f64;
         println!(
-            "e14_valuation_shard/acceptance/{}: vt1={}ns vt4={}ns speedup={speedup:.2}x \
-             valuations={} hit_rate={:.1}%",
+            "e14_valuation_shard/acceptance/{}: vt1={unsharded_ns}ns vt4={sharded_ns}ns \
+             speedup={speedup:.2}x valuations={} hit_rate={:.1}%",
             w.name,
-            unsharded.median_ns,
-            sharded.median_ns,
-            sharded.report.valuations_checked,
+            sharded.valuations_checked,
             hit_rate * 100.0
         );
-        total_unsharded += unsharded.median_ns;
-        total_sharded += sharded.median_ns;
-        rows.push(format!(
-            "    \"{}\": {{\n      \"scenario\": {{\"m\": {}, \"pool\": {}, \
-             \"valuations\": {}}},\n      \"states_visited\": {},\n      \
-             \"differential\": \"verdict+states_visited+valuations equal\",\n      \
-             \"nba_cache_hit_rate\": {hit_rate:.3},\n      \
-             \"shard_valuations\": {:?},\n      \
-             \"vt4\": {},\n      \"vt1\": {},\n      \"speedup\": {speedup:.2}\n    }}",
+        total_unsharded += unsharded_ns;
+        total_sharded += sharded_ns;
+        rows.push(
             w.name,
-            w.m,
-            w.pool,
-            w.valuations(),
-            sharded.report.stats.states_visited,
-            sharded.report.shard_valuations,
-            phase_json(&sharded),
-            phase_json(&unsharded),
-        ));
-        bench_report.get_or_insert(sharded.report.telemetry);
+            Object::new()
+                .field(
+                    "scenario",
+                    Object::new()
+                        .field("m", w.m)
+                        .field("pool", w.pool)
+                        .field("valuations", w.valuations()),
+                )
+                .field("states_visited", sharded.stats.states_visited)
+                .field("differential", "verdict+states_visited+valuations equal")
+                .field("nba_cache_hit_rate", fixed(hit_rate, 3))
+                .field(
+                    "shard_valuations",
+                    Json::Array(
+                        sharded
+                            .shard_valuations
+                            .iter()
+                            .map(|&n| Json::UInt(n))
+                            .collect(),
+                    ),
+                )
+                .field("vt4", artifact::cell(sharded_ns, &sharded.telemetry))
+                .field("vt1", artifact::cell(unsharded_ns, &unsharded.telemetry))
+                .field("speedup", fixed(speedup, 2)),
+        );
     }
 
     let total_speedup = total_unsharded as f64 / total_sharded.max(1) as f64;
@@ -300,29 +263,18 @@ fn acceptance() {
         );
     }
 
-    // The bench harness is itself a reporting entry point (DESIGN.md
-    // §3.9): relabel one measured run's report, validate it against the
-    // schema, and keep it in the artifact.
-    let bench_report = RunReport {
-        entry_point: "bench".into(),
-        ..bench_report.expect("at least one sharded sample")
-    };
-    let report_json = bench_report.to_json();
-    RunReport::from_json(&report_json).expect("bench report validates against the schema");
-
-    let json = format!(
-        "{{\n  \"experiment\": \"e14_valuation_shard\",\n  \"mode\": \"{}\",\n  \
-         \"samples\": {samples},\n  \"cores\": {cores},\n  \"speedup_bar\": {bar:.1},\n  \
-         \"speedup_bar_enforced\": {bar_enforced},\n  \"workloads\": {{\n{}\n  }},\n  \
-         \"total\": {{\n    \"vt1_median_ns\": {total_unsharded},\n    \
-         \"vt4_median_ns\": {total_sharded},\n    \"speedup\": {total_speedup:.2}\n  }},\n  \
-         \"run_report\": {report_json}\n}}\n",
-        if smoke { "smoke" } else { "full" },
-        rows.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_E14.json");
-    std::fs::write(path, json).expect("write BENCH_E14.json");
-    println!("e14_valuation_shard/acceptance: wrote {path}");
+    Artifact::new("e14_valuation_shard", smoke, samples)
+        .field("speedup_bar", fixed(bar, 1))
+        .field("speedup_bar_enforced", Json::Bool(bar_enforced))
+        .field("workloads", rows)
+        .field(
+            "total",
+            Object::new()
+                .field("vt1_median_ns", total_unsharded)
+                .field("vt4_median_ns", total_sharded)
+                .field("speedup", fixed(total_speedup, 2)),
+        )
+        .write();
 }
 
 criterion_group!(benches, bench);

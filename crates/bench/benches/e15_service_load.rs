@@ -10,15 +10,17 @@
 //! The acceptance pass asserts every cell drains every job to a terminal
 //! state (the starver included — its budget is finite) and that adding
 //! the starver does not sink fleet throughput below the floor; jobs/sec
-//! and p50/p99 latency per cell land in `BENCH_E15.json` at the
-//! workspace root, with one served job's redacted `RunReport` embedded
-//! and schema-validated.
+//! and p50 (`median_ns`)/p99 latency per cell land in `BENCH_E15.json` at
+//! the workspace root, each cell with the redacted `RunReport` of one
+//! served job that searched.
 
+use ddws_bench::artifact::{self, fixed, percentile, Artifact, Object};
 use ddws_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ddws_server::{
     decode_response, encode_request, ErrorCode, JobOptions, JobSpec, Request, Response, Server,
     ServerConfig,
 };
+use ddws_telemetry::Json;
 use ddws_testkit::compgen;
 use ddws_testkit::rng::XorShift;
 use ddws_verifier::RunReport;
@@ -192,10 +194,6 @@ fn run_cell(cell: &Cell, workers: usize, seed: u64) -> CellRun {
         .filter(|j| Some(j.job) != starver)
         .filter_map(|j| j.completed_step)
         .collect();
-    let sample_report = rows
-        .iter()
-        .find_map(|j| server.redacted_report(j.job))
-        .expect("some served job carries a final report");
     CellRun {
         jobs: cell.clients * cell.jobs_per_client,
         wall,
@@ -204,13 +202,8 @@ fn run_cell(cell: &Cell, workers: usize, seed: u64) -> CellRun {
         starver_slices,
         starver_completed_step,
         fleet_completed_steps,
-        sample_report,
+        sample_report: artifact::searched_report(&server),
     }
-}
-
-fn percentile(sorted_ns: &[u128], p: usize) -> u128 {
-    assert!(!sorted_ns.is_empty());
-    sorted_ns[(sorted_ns.len() - 1) * p / 100]
 }
 
 fn bench(c: &mut Criterion) {
@@ -242,19 +235,13 @@ fn bench(c: &mut Criterion) {
 /// ends `budget_exceeded` without sinking fleet throughput below the
 /// floor; jobs/sec + p50/p99 land in `BENCH_E15.json`.
 fn acceptance() {
-    let smoke = std::env::var("DDWS_BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
-    let samples = std::env::var("DDWS_BENCH_SAMPLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(3);
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let workers = cores.clamp(1, 4);
+    let smoke = artifact::smoke();
+    let samples = artifact::samples(3);
+    let workers = artifact::cores().clamp(1, 4);
 
-    let mut rows = Vec::new();
+    let mut rows = Object::new();
     let mut fleet_jps = 0.0f64;
     let mut starved_jps = 0.0f64;
-    let mut bench_report: Option<RunReport> = None;
     for cell in cells(smoke) {
         // Keep the best of `samples` runs per cell: thread scheduling
         // noise only ever slows a run down.
@@ -314,24 +301,22 @@ fn acceptance() {
              p50={p50}ns p99={p99}ns workers={workers}",
             cell.name, run.jobs, run.wall
         );
-        rows.push(format!(
-            "    \"{}\": {{\n      \"clients\": {},\n      \"jobs_per_client\": {},\n      \
-             \"starver\": {},\n      \"completed_jobs\": {},\n      \
-             \"wall_ns\": {},\n      \"jobs_per_sec\": {jps:.2},\n      \
-             \"p50_ns\": {p50},\n      \"p99_ns\": {p99}\n    }}",
+        rows.push(
             cell.name,
-            cell.clients,
-            cell.jobs_per_client,
-            cell.starver,
-            run.jobs,
-            run.wall.as_nanos(),
-        ));
+            artifact::cell(p50, &run.sample_report)
+                .field("p99_ns", p99)
+                .field("clients", cell.clients)
+                .field("jobs_per_client", cell.jobs_per_client)
+                .field("starver", Json::Bool(cell.starver))
+                .field("completed_jobs", run.jobs)
+                .field("wall_ns", run.wall.as_nanos())
+                .field("jobs_per_sec", fixed(jps, 2)),
+        );
         if cell.starver {
             starved_jps = jps;
         } else {
             fleet_jps = jps;
         }
-        bench_report.get_or_insert(run.sample_report);
     }
 
     // A catastrophic-starvation backstop on throughput. The real
@@ -343,27 +328,11 @@ fn acceptance() {
         "starver sank fleet throughput: {starved_jps:.2} vs {fleet_jps:.2} jobs/s"
     );
 
-    // The bench harness is itself a reporting entry point (DESIGN.md
-    // §3.9): relabel one served job's redacted report, validate it
-    // against the schema, and keep it in the artifact.
-    let bench_report = RunReport {
-        entry_point: "bench".into(),
-        ..bench_report.expect("at least one cell served a report")
-    };
-    let report_json = bench_report.to_json();
-    RunReport::from_json(&report_json).expect("bench report validates against the schema");
-
-    let json = format!(
-        "{{\n  \"experiment\": \"e15_service_load\",\n  \"mode\": \"{}\",\n  \
-         \"samples\": {samples},\n  \"cores\": {cores},\n  \"workers\": {workers},\n  \
-         \"job_budget\": {JOB_BUDGET},\n  \"cells\": {{\n{}\n  }},\n  \
-         \"run_report\": {report_json}\n}}\n",
-        if smoke { "smoke" } else { "full" },
-        rows.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_E15.json");
-    std::fs::write(path, json).expect("write BENCH_E15.json");
-    println!("e15_service_load/acceptance: wrote {path}");
+    Artifact::new("e15_service_load", smoke, samples)
+        .field("workers", workers)
+        .field("job_budget", JOB_BUDGET)
+        .field("cells", rows)
+        .write();
 }
 
 criterion_group!(benches, bench);

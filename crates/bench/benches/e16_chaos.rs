@@ -15,9 +15,11 @@
 //! within 50% of the clean cell's. A third `overload` cell submits 2×
 //! the admission capacity without retries and asserts the service sheds
 //! exactly the overflow, every rejection carrying a `retry_after_ns`
-//! back-pressure hint. Everything lands in `BENCH_E16.json` with one
-//! chaos-survivor's redacted `RunReport` embedded and schema-validated.
+//! back-pressure hint. Everything lands in `BENCH_E16.json`; each latency
+//! cell carries the redacted `RunReport` of one job it served that
+//! searched, the chaos cell's served *through* the faults.
 
+use ddws_bench::artifact::{self, fixed, percentile, Artifact, Object};
 use ddws_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ddws_server::{
     decode_response, encode_request, ClientError, ClientSession, CrashInjector, ErrorCode,
@@ -93,7 +95,7 @@ struct CellRun {
 /// terminal. Job draws come first from a dedicated RNG stream, so the
 /// workload is a function of `seed` alone — identical across cells.
 fn run_cell(seed: u64, chaos: FrameChaos, crash: bool) -> CellRun {
-    let jobs = fleet_jobs(is_smoke());
+    let jobs = fleet_jobs(artifact::smoke());
     let clock = Arc::new(ManualClock::new(0));
     let server = Server::new(ServerConfig {
         capacity: STARVERS + jobs + 4,
@@ -113,7 +115,7 @@ fn run_cell(seed: u64, chaos: FrameChaos, crash: bool) -> CellRun {
         },
     );
     let options = JobOptions {
-        budget: budget(is_smoke()),
+        budget: budget(artifact::smoke()),
         ..JobOptions::default()
     };
 
@@ -204,17 +206,13 @@ fn run_cell(seed: u64, chaos: FrameChaos, crash: bool) -> CellRun {
 
     let rows = server.jobs();
     let crash_recoveries = rows.iter().map(|j| j.crash_recoveries).sum();
-    let sample_report = rows
-        .iter()
-        .find_map(|j| server.redacted_report(j.job))
-        .expect("some drained job carries a final report");
     CellRun {
         latencies_ns,
         virtual_wall_ns: clock.now_ns(),
         steps,
         wire_faults: transport.faults,
         crash_recoveries,
-        sample_report,
+        sample_report: artifact::searched_report(&server),
     }
 }
 
@@ -234,7 +232,7 @@ fn run_overload(capacity: usize) -> (usize, usize, usize) {
         let req = Request::SubmitJob {
             spec: JobSpec::Scenario("req_resp".to_string()),
             options: JobOptions {
-                budget: budget(is_smoke()),
+                budget: budget(artifact::smoke()),
                 ..JobOptions::default()
             },
             submit_token: None,
@@ -253,15 +251,6 @@ fn run_overload(capacity: usize) -> (usize, usize, usize) {
         }
     }
     (accepted, shed, hinted)
-}
-
-fn is_smoke() -> bool {
-    std::env::var("DDWS_BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-fn percentile(sorted_ns: &[u64], p: usize) -> u64 {
-    assert!(!sorted_ns.is_empty());
-    sorted_ns[(sorted_ns.len() - 1) * p / 100]
 }
 
 fn bench(c: &mut Criterion) {
@@ -295,12 +284,8 @@ fn bench(c: &mut Criterion) {
 /// loss + 1-in-200 worker crashes; overload sheds exactly the
 /// overflow, every rejection hinted).
 fn acceptance() {
-    let smoke = is_smoke();
-    let samples = std::env::var("DDWS_BENCH_SAMPLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(if smoke { 1 } else { 3 });
+    let smoke = artifact::smoke();
+    let samples = artifact::samples(if smoke { 1 } else { 3 });
 
     // Each sample is one seed; clean and chaos share it, so the cells
     // run the identical drawn workload and the p99 ratio is pure
@@ -373,52 +358,41 @@ fn acceptance() {
         2 * capacity,
     );
 
-    // The bench harness is itself a reporting entry point (DESIGN.md
-    // §3.9): the embedded report is one the chaos cell served *through*
-    // the faults, relabelled and schema-validated.
-    let bench_report = RunReport {
-        entry_point: "bench".into(),
-        ..chaos.sample_report.clone()
+    let cell = |run: &CellRun| {
+        artifact::cell(percentile(&run.latencies_ns, 50).into(), &run.sample_report)
+            .field("p99_ns", percentile(&run.latencies_ns, 99))
+            .field("jobs", run.latencies_ns.len())
+            .field("virtual_wall_ns", run.virtual_wall_ns)
+            .field("steps", run.steps)
+            .field("wire_faults", run.wire_faults)
+            .field("crash_recoveries", run.crash_recoveries)
     };
-    let report_json = bench_report.to_json();
-    RunReport::from_json(&report_json).expect("bench report validates against the schema");
-
-    let cell_json = |run: &CellRun| {
-        format!(
-            "{{\n      \"jobs\": {},\n      \"virtual_wall_ns\": {},\n      \
-             \"steps\": {},\n      \"p50_ns\": {},\n      \"p99_ns\": {},\n      \
-             \"wire_faults\": {},\n      \"crash_recoveries\": {}\n    }}",
-            run.latencies_ns.len(),
-            run.virtual_wall_ns,
-            run.steps,
-            percentile(&run.latencies_ns, 50),
-            percentile(&run.latencies_ns, 99),
-            run.wire_faults,
-            run.crash_recoveries,
+    let overload = Object::new()
+        .field("capacity", capacity)
+        .field("submitted", 2 * capacity)
+        .field("accepted", accepted)
+        .field("shed", shed)
+        .field("shed_rate", fixed(shed as f64 / (2 * capacity) as f64, 2))
+        .field("retry_after_hints", hinted);
+    Artifact::new("e16_chaos", smoke, samples)
+        .field("seed", seed)
+        .field("quantum_states", QUANTUM)
+        .field("job_budget", budget(smoke))
+        .field(
+            "chaos_profile",
+            Object::new()
+                .field("drop_in", DROP_IN)
+                .field("crash_in", CRASH_IN),
         )
-    };
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let json = format!(
-        "{{\n  \"experiment\": \"e16_chaos\",\n  \"cores\": {cores},\n  \"mode\": \"{}\",\n  \
-         \"samples\": {samples},\n  \"seed\": {seed},\n  \
-         \"quantum_states\": {QUANTUM},\n  \"job_budget\": {},\n  \
-         \"chaos_profile\": {{ \"drop_in\": {DROP_IN}, \"crash_in\": {CRASH_IN} }},\n  \
-         \"cells\": {{\n    \"clean\": {},\n    \"chaos\": {},\n    \
-         \"overload\": {{\n      \"capacity\": {capacity},\n      \"submitted\": {},\n      \
-         \"accepted\": {accepted},\n      \"shed\": {shed},\n      \
-         \"shed_rate\": {:.2},\n      \"retry_after_hints\": {hinted}\n    }}\n  }},\n  \
-         \"p99_degradation_pct\": {degradation_pct:.2},\n  \
-         \"run_report\": {report_json}\n}}\n",
-        if smoke { "smoke" } else { "full" },
-        budget(smoke),
-        cell_json(&clean),
-        cell_json(&chaos),
-        2 * capacity,
-        shed as f64 / (2 * capacity) as f64,
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_E16.json");
-    std::fs::write(path, json).expect("write BENCH_E16.json");
-    println!("e16_chaos/acceptance: wrote {path}");
+        .field(
+            "cells",
+            Object::new()
+                .field("clean", cell(&clean))
+                .field("chaos", cell(&chaos))
+                .field("overload", overload),
+        )
+        .field("p99_degradation_pct", fixed(degradation_pct, 2))
+        .write();
 }
 
 criterion_group!(benches, bench);

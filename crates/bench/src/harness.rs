@@ -81,11 +81,7 @@ impl BenchmarkGroup<'_> {
                 return;
             }
         }
-        let samples = std::env::var("DDWS_BENCH_SAMPLES")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(self.sample_size);
+        let samples = crate::artifact::samples(self.sample_size);
         let mut bencher = Bencher {
             samples,
             durations: Vec::with_capacity(samples),

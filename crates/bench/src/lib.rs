@@ -4,6 +4,7 @@
 //! holds the builders they share. The scenarios themselves live in the
 //! `ddws` facade crate (`ddws::scenarios`).
 
+pub mod artifact;
 pub mod harness;
 
 pub use ddws_boundaries::{counting_relay, state_space_size};

@@ -249,9 +249,25 @@ impl<'a> Lexer<'a> {
     }
 }
 
+/// Deepest nesting a formula may have. Each parenthesis, prefix operator
+/// (`not`, `X`, `F`, `G`, an inner quantifier) and right-associative `->`,
+/// `U` or `B` link opens one level. Properties arrive over the wire, so the
+/// cap bounds the recursive-descent parser's stack, and with it that of
+/// every recursive pass over the syntax tree (its drop included); 128
+/// matches the JSON decoder's nesting cap.
+pub const MAX_DEPTH: usize = 128;
+
+/// Most syntax-tree nodes a formula may have. `a <-> b` expands to
+/// `(a -> b) and (b -> a)`, copying both sides, so a chain of n `<->`
+/// links has 2^n nodes; the cap refuses such a chain at about 16 links,
+/// long before it exhausts memory.
+pub const MAX_NODES: usize = 1 << 16;
+
 struct Parser<'a, 'r> {
     toks: Vec<(Tok, usize)>,
     idx: usize,
+    /// Nesting levels currently open, at most [`MAX_DEPTH`].
+    depth: usize,
     resolver: &'a mut Resolver<'r>,
 }
 
@@ -270,8 +286,32 @@ impl<'a, 'r> Parser<'a, 'r> {
         Ok(Parser {
             toks,
             idx: 0,
+            depth: 0,
             resolver,
         })
+    }
+
+    /// Runs `parse` one nesting level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("formula nests deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
+    }
+
+    /// Refuses a formula of more than [`MAX_NODES`] syntax-tree nodes.
+    fn check_size(&self, f: &LtlFo) -> Result<(), ParseError> {
+        if ltl_nodes(f) > MAX_NODES {
+            return Err(self.err(format!("formula has more than {MAX_NODES} nodes")));
+        }
+        Ok(())
     }
 
     fn peek(&self) -> &Tok {
@@ -345,6 +385,7 @@ impl<'a, 'r> Parser<'a, 'r> {
                 LtlFo::Implies(Box::new(lhs.clone()), Box::new(rhs.clone())),
                 LtlFo::Implies(Box::new(rhs), Box::new(lhs)),
             ]);
+            self.check_size(&lhs)?;
         }
         Ok(lhs)
     }
@@ -353,7 +394,7 @@ impl<'a, 'r> Parser<'a, 'r> {
         let lhs = self.parse_until()?;
         if self.peek() == &Tok::Arrow {
             self.bump();
-            let rhs = self.parse_impl()?;
+            let rhs = self.nested(Self::parse_impl)?;
             Ok(LtlFo::Implies(Box::new(lhs), Box::new(rhs)))
         } else {
             Ok(lhs)
@@ -365,12 +406,12 @@ impl<'a, 'r> Parser<'a, 'r> {
         match self.peek_ident() {
             Some("U") => {
                 self.bump();
-                let rhs = self.parse_until()?;
+                let rhs = self.nested(Self::parse_until)?;
                 Ok(LtlFo::until(lhs, rhs))
             }
             Some("B") => {
                 self.bump();
-                let rhs = self.parse_until()?;
+                let rhs = self.nested(Self::parse_until)?;
                 Ok(LtlFo::before(lhs, rhs))
             }
             _ => Ok(lhs),
@@ -399,19 +440,19 @@ impl<'a, 'r> Parser<'a, 'r> {
         match self.peek_ident() {
             Some("not") => {
                 self.bump();
-                Ok(LtlFo::not(self.parse_unary()?))
+                Ok(LtlFo::not(self.nested(Self::parse_unary)?))
             }
             Some("X") => {
                 self.bump();
-                Ok(LtlFo::next(self.parse_unary()?))
+                Ok(LtlFo::next(self.nested(Self::parse_unary)?))
             }
             Some("F") => {
                 self.bump();
-                Ok(LtlFo::finally(self.parse_unary()?))
+                Ok(LtlFo::finally(self.nested(Self::parse_unary)?))
             }
             Some("G") => {
                 self.bump();
-                Ok(LtlFo::globally(self.parse_unary()?))
+                Ok(LtlFo::globally(self.nested(Self::parse_unary)?))
             }
             Some(kw @ ("forall" | "exists")) => {
                 let existential = kw == "exists";
@@ -419,7 +460,7 @@ impl<'a, 'r> Parser<'a, 'r> {
                 self.bump();
                 let vars = self.parse_var_list()?;
                 self.expect(&Tok::Colon, "`:` after quantified variables")?;
-                let body = self.parse_iff()?;
+                let body = self.nested(Self::parse_iff)?;
                 let Some(body_fo) = body.to_fo() else {
                     return Err(ParseError {
                         message: "quantifier scopes over a temporal operator; only the \
@@ -443,7 +484,7 @@ impl<'a, 'r> Parser<'a, 'r> {
         match self.peek().clone() {
             Tok::LParen => {
                 self.bump();
-                let f = self.parse_iff()?;
+                let f = self.nested(Self::parse_iff)?;
                 self.expect(&Tok::RParen, "`)`")?;
                 // Allow `(t) = u`? No: equality operands are bare terms only.
                 Ok(f)
@@ -575,6 +616,25 @@ impl<'a, 'r> Parser<'a, 'r> {
     }
 }
 
+/// Syntax-tree nodes of `f`, its first-order leaves included.
+fn ltl_nodes(f: &LtlFo) -> usize {
+    match f {
+        LtlFo::Fo(fo) => fo_nodes(fo),
+        LtlFo::Not(g) | LtlFo::X(g) => 1 + ltl_nodes(g),
+        LtlFo::And(gs) | LtlFo::Or(gs) => 1 + gs.iter().map(ltl_nodes).sum::<usize>(),
+        LtlFo::Implies(a, b) | LtlFo::U(a, b) => 1 + ltl_nodes(a) + ltl_nodes(b),
+    }
+}
+
+fn fo_nodes(f: &Fo) -> usize {
+    match f {
+        Fo::True | Fo::False | Fo::Atom(..) | Fo::Eq(..) => 1,
+        Fo::Not(g) | Fo::Exists(_, g) | Fo::Forall(_, g) => 1 + fo_nodes(g),
+        Fo::And(gs) | Fo::Or(gs) => 1 + gs.iter().map(fo_nodes).sum::<usize>(),
+        Fo::Implies(a, b) => 1 + fo_nodes(a) + fo_nodes(b),
+    }
+}
+
 fn is_keyword(s: &str) -> bool {
     matches!(
         s,
@@ -587,6 +647,7 @@ pub fn parse_ltlfo(src: &str, resolver: &mut Resolver<'_>) -> Result<LtlFo, Pars
     let mut p = Parser::new(src, resolver)?;
     let f = p.parse_iff()?;
     p.finish()?;
+    p.check_size(&f)?;
     Ok(f)
 }
 
@@ -616,6 +677,7 @@ pub fn parse_sentence(src: &str, resolver: &mut Resolver<'_>) -> Result<LtlFoSen
     }
     let body = p.parse_iff()?;
     p.finish()?;
+    p.check_size(&body)?;
     let mut vars = closure_vars;
     for v in body.free_vars() {
         if !vars.contains(&v) {
@@ -746,6 +808,23 @@ mod tests {
             .contains("unknown relation"));
         assert!(parse_err("O.apply").message.contains("arity"));
         assert!(parse_err("mystery").message.contains("neither"));
+    }
+
+    #[test]
+    fn nesting_and_size_caps_are_parse_errors() {
+        let parens = |n: usize| format!("{}flag{}", "(".repeat(n), ")".repeat(n));
+        parse_ok(&parens(MAX_DEPTH));
+        assert!(parse_err(&parens(MAX_DEPTH + 1))
+            .message
+            .contains("nests deeper"));
+        let nots = |n: usize| format!("{}flag", "not ".repeat(n));
+        parse_ok(&nots(MAX_DEPTH));
+        assert!(parse_err(&nots(MAX_DEPTH + 1))
+            .message
+            .contains("nests deeper"));
+        let iff = |n: usize| vec!["flag"; n + 1].join(" <-> ");
+        parse_ok(&iff(8));
+        assert!(parse_err(&iff(40)).message.contains("nodes"));
     }
 
     #[test]

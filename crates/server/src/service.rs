@@ -1173,6 +1173,36 @@ mod tests {
     }
 
     #[test]
+    fn a_property_past_the_parser_caps_fails_its_job_and_the_next_job_runs() {
+        // Parsed on the worker inside a slice, where `catch_unwind` cannot
+        // stop a stack overflow: the parser's nesting cap must refuse it.
+        let server = Server::new(ServerConfig::deterministic(8, 64));
+        let mut spec = ddws_testkit::compgen::spec(&mut ddws_testkit::rng::XorShift::new(7));
+        spec.property = format!("{}true{}", "(".repeat(100_000), ")".repeat(100_000));
+        let submit = Request::SubmitJob {
+            spec: JobSpec::Spec(spec),
+            options: JobOptions::default(),
+            submit_token: None,
+        };
+        let hostile = match roundtrip(&server, 1, &submit) {
+            Response::Accepted { job } => job,
+            other => panic!("submit rejected: {other:?}"),
+        };
+        let next = submit_scenario(&server, 2, "req_resp", 100_000);
+        server.drain();
+        assert_eq!(server.jobs()[hostile as usize].state, JobState::Failed);
+        match roundtrip(&server, 3, &Request::FetchResult { job: hostile }) {
+            Response::Result { verdict, .. } => assert_eq!(verdict, "failed"),
+            other => panic!("unexpected fetch response: {other:?}"),
+        }
+        assert!(server.canonical_log().contains("nests deeper than"));
+        assert_eq!(
+            server.jobs()[next as usize].verdict.as_deref(),
+            Some("holds")
+        );
+    }
+
+    #[test]
     fn drop_audit_is_violated_with_a_digest() {
         let server = Server::new(ServerConfig::deterministic(8, 128));
         let job = submit_scenario(&server, 1, "drop_audit", 100_000);

@@ -7,7 +7,10 @@
 //! This suite parses each of them, requires every embedded `run_report`
 //! (and `ABORT_REPORT.json`, which is one report) to pass
 //! `RunReport::from_json_value`, and requires every bench artifact to
-//! name the core count of the host it was measured on.
+//! name the host, scale and sample count it was measured with. Every
+//! measured cell of a bench artifact is a `median_ns` plus the run report
+//! of the bench entry point, and each experiment carries the keys its
+//! acceptance pass promises.
 
 use ddws_telemetry::{Json, RunReport};
 use std::path::{Path, PathBuf};
@@ -22,22 +25,36 @@ fn parse(path: &Path) -> Json {
     Json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
-/// Every value stored under a `run_report` key, at any depth.
-fn run_reports<'a>(v: &'a Json, out: &mut Vec<&'a Json>) {
+/// Every object holding a `key`, at any depth.
+fn holders<'a>(v: &'a Json, key: &str, out: &mut Vec<&'a Json>) {
     match v {
         Json::Object(fields) => {
-            for (key, value) in fields {
-                if key == "run_report" {
-                    out.push(value);
-                } else {
-                    run_reports(value, out);
-                }
+            if v.get(key).is_some() {
+                out.push(v);
+            }
+            for (_, value) in fields {
+                holders(value, key, out);
             }
         }
-        Json::Array(items) => items.iter().for_each(|item| run_reports(item, out)),
+        Json::Array(items) => items.iter().for_each(|item| holders(item, key, out)),
         _ => {}
     }
 }
+
+/// Keys each experiment's artifact must carry, at any depth: the
+/// differential verdicts, the symmetry before/after and the latency
+/// tails the acceptance passes promise.
+const REQUIRED_KEYS: &[(&str, &[&str])] = &[
+    ("BENCH_E10.json", &["engines", "speedup", "hit_rate"]),
+    ("BENCH_E11.json", &["engines", "overhead"]),
+    (
+        "BENCH_E13.json",
+        &["differential", "symmetry", "symmetry_merges", "checkpoint"],
+    ),
+    ("BENCH_E14.json", &["differential", "nba_cache_hit_rate"]),
+    ("BENCH_E15.json", &["p99_ns", "jobs_per_sec"]),
+    ("BENCH_E16.json", &["p99_degradation_pct", "overload"]),
+];
 
 fn bench_artifacts() -> Vec<PathBuf> {
     let mut paths: Vec<PathBuf> = std::fs::read_dir(root())
@@ -59,20 +76,46 @@ fn every_bench_artifact_embeds_a_current_report_and_names_its_host() {
     assert!(!paths.is_empty(), "no BENCH_*.json at the workspace root");
     for path in paths {
         let doc = parse(&path);
-        let mut reports = Vec::new();
-        run_reports(&doc, &mut reports);
-        assert!(!reports.is_empty(), "{}: no run_report", path.display());
-        for report in reports {
-            RunReport::from_json_value(report)
+        let mut cells = Vec::new();
+        holders(&doc, "run_report", &mut cells);
+        assert!(!cells.is_empty(), "{}: no run_report", path.display());
+        for cell in cells {
+            let report = RunReport::from_json_value(cell.get("run_report").expect("a holder"))
                 .unwrap_or_else(|e| panic!("{}: run_report: {e}", path.display()));
+            assert_eq!(report.entry_point, "bench", "{}", path.display());
+            assert!(
+                cell.get("median_ns").and_then(Json::as_u64).is_some(),
+                "{}: a cell without `median_ns`",
+                path.display()
+            );
+        }
+        for key in ["cores", "samples"] {
+            assert!(
+                doc.get(key).and_then(Json::as_u64).is_some_and(|n| n > 0),
+                "{}: missing `{key}`",
+                path.display()
+            );
         }
         assert!(
-            doc.get("cores")
-                .and_then(Json::as_u64)
-                .is_some_and(|n| n > 0),
-            "{}: missing the host's `cores`",
+            matches!(
+                doc.get("mode").and_then(Json::as_str),
+                Some("full" | "smoke")
+            ),
+            "{}: missing `mode`",
             path.display()
         );
+    }
+}
+
+#[test]
+fn every_experiment_carries_the_keys_its_acceptance_promises() {
+    for (name, keys) in REQUIRED_KEYS {
+        let doc = parse(&root().join(name));
+        for key in *keys {
+            let mut found = Vec::new();
+            holders(&doc, key, &mut found);
+            assert!(!found.is_empty(), "{name}: no `{key}`");
+        }
     }
 }
 

@@ -22,7 +22,8 @@ use ddws_server::{
 use ddws_testkit::mutate::mutate;
 use ddws_testkit::rng::XorShift;
 use ddws_testkit::{compgen, seed_from};
-use ddws_verifier::{DatabaseMode, Progress, RunReport, Verifier, VerifyOptions};
+use ddws_verifier::{DatabaseMode, Progress, RunReport, Verifier, VerifyError, VerifyOptions};
+use std::time::{Duration, Instant};
 
 /// Mutants per decoder.
 const MUTANTS: usize = 50_000;
@@ -287,6 +288,42 @@ fn property_parsing_is_total() {
 /// Deep nesting is refused, not recursed into: a frame near the 1 MiB
 /// cap holding nothing but open brackets once overflowed the JSON
 /// parser's stack and aborted the process.
+/// Properties arrive over the wire inside `submit_job`, so the parser
+/// must refuse what would overflow its stack or exhaust memory: deep
+/// nesting, long right-associative chains, and `<->` chains (each link
+/// copies both sides).
+#[test]
+fn deep_and_long_properties_are_typed_errors() {
+    let mut verifier = Verifier::new(chains::composition(3, true, Semantics::default()));
+    let atom = "P0.emit(x)";
+    let n = 100_000;
+    let shapes = [
+        format!("{}{atom}{}", "(".repeat(n), ")".repeat(n)),
+        format!("{}{atom}", "not ".repeat(n)),
+        format!("{}{atom}", "G ".repeat(n)),
+        vec![atom; n].join(" -> "),
+        vec![atom; n].join(" U "),
+        vec![atom; 41].join(" <-> "),
+    ];
+    for property in &shapes {
+        let start = Instant::now();
+        let err = verifier
+            .parse_property(property)
+            .expect_err("the parser refuses it");
+        assert!(
+            matches!(err, VerifyError::Parse(_)),
+            "`{}…`: {err}",
+            &property[..32]
+        );
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "`{}…` took {:?}",
+            &property[..32],
+            start.elapsed()
+        );
+    }
+}
+
 #[test]
 fn deeply_nested_input_is_a_typed_error() {
     let brackets = "[".repeat(ddws_server::MAX_FRAME_LEN - 16);
