@@ -48,12 +48,13 @@ pub trait TransitionSystem: Sync {
     /// Initial states.
     fn initial_states(&self) -> Vec<Self::State>;
 
-    /// Successor states (the on-the-fly expansion).
+    /// Successor states (the on-the-fly expansion), the same sequence on
+    /// every call: the sequential red search re-expands states, and a
+    /// reproducible counterexample needs it to see the blue search's order.
     ///
-    /// The shared-slice return type lets memoizing implementations (the
-    /// verifier's product system) hand the same cached expansion to every
-    /// caller instead of cloning a `Vec` per visit — both DFS passes and
-    /// every parallel worker then share one allocation per state.
+    /// The shared-slice return type lets the engines keep one allocation
+    /// per expansion in a DFS frame, the partial-order memo or the
+    /// parallel edge log.
     fn successors(&self, s: &Self::State) -> Arc<[Self::State]>;
 
     /// Büchi acceptance flag.
@@ -62,18 +63,13 @@ pub trait TransitionSystem: Sync {
     /// Ample-set expansion: a subset of [`successors`](Self::successors)
     /// satisfying the C0–C2 ample conditions (non-emptiness, dependence
     /// closure, invisibility). The *engine* enforces the cycle proviso C3
-    /// and falls back to [`successors_full`](Self::successors_full) when it
-    /// fires. The default returns the full expansion (no reduction).
+    /// and falls back to [`successors`](Self::successors) when it fires.
+    /// The default returns the full expansion (no reduction).
     fn successors_reduced(&self, s: &Self::State) -> Expansion<Self::State> {
         Expansion {
             states: self.successors(s),
             ample: false,
         }
-    }
-
-    /// The unreduced successor set, used when C3 forces a full expansion.
-    fn successors_full(&self, s: &Self::State) -> Arc<[Self::State]> {
-        self.successors(s)
     }
 
     /// Whether the engines should route expansions through
@@ -318,21 +314,8 @@ impl<'ts, TS: TransitionSystem> SeqEngine<'ts, TS> {
     ) -> Result<Option<Lasso<TS::State>>, AbortReason> {
         let max_states = limits.state_cap();
         loop {
-            if let Some(token) = &limits.cancel {
-                if token.is_cancelled() {
-                    return Err(AbortReason::Cancelled {
-                        reason: token.reason().unwrap_or_default(),
-                    });
-                }
-            }
-            if self.ticks & PROGRESS_STRIDE_MASK == 0 {
-                if let Some(deadline) = &limits.deadline {
-                    if deadline.is_expired() {
-                        return Err(AbortReason::DeadlineExceeded {
-                            limit_ns: deadline.budget_ns,
-                        });
-                    }
-                }
+            if let Some(stop) = limits.interruption(self.ticks) {
+                return Err(stop);
             }
             self.ticks += 1;
             if self.stats.states_visited > max_states {
@@ -465,7 +448,7 @@ impl<TS: TransitionSystem> Reducer<TS> {
                 // C3 (cycle proviso): an ample successor closes back into
                 // the DFS stack — expand fully instead.
                 stats.full_expansions += 1;
-                ts.successors_full(s)
+                ts.successors(s)
             } else {
                 stats.ample_hits += 1;
                 exp.states
@@ -490,7 +473,7 @@ impl<TS: TransitionSystem> Reducer<TS> {
         }
         stats.states_expanded += 1;
         stats.full_expansions += 1;
-        let succs = ts.successors_full(s);
+        let succs = ts.successors(s);
         self.expansions.insert(s.clone(), succs.clone());
         succs
     }

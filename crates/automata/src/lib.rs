@@ -52,4 +52,4 @@ pub use limits::{
 pub use ltl::Ltl;
 pub use nba::{Nba, StateId};
 pub use parallel::{find_accepting_lasso_limits_parallel_with, ParCheckpoint};
-pub use translate::ltl_to_nba;
+pub use translate::{ltl_to_nba, ltl_to_nba_limits};

@@ -10,7 +10,9 @@
 //! budget- or deadline-truncated run with laxer limits reaches the same
 //! verdict a fresh unbounded run would.
 
-use crate::emptiness::{resume_seq, Lasso, SearchStats, SeqCheckpoint, TransitionSystem};
+use crate::emptiness::{
+    resume_seq, Lasso, SearchStats, SeqCheckpoint, TransitionSystem, PROGRESS_STRIDE_MASK,
+};
 use crate::parallel::{resume_par, ParCheckpoint};
 use ddws_telemetry::{AbortReason, CancelToken, EngineTelemetry, FaultHook};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -163,6 +165,20 @@ impl SearchLimits {
     /// The effective state cap (`u64::MAX` when unbounded).
     pub(crate) fn state_cap(&self) -> u64 {
         self.max_states.unwrap_or(u64::MAX)
+    }
+
+    /// The stop the cancel token or the deadline calls for at loop
+    /// iteration `tick` (0-based): cancellation is checked on every
+    /// iteration, the deadline on the progress stride.
+    pub(crate) fn interruption(&self, tick: u64) -> Option<AbortReason> {
+        if let Some(token) = self.cancel.as_ref().filter(|t| t.is_cancelled()) {
+            let reason = token.reason().unwrap_or_default();
+            return Some(AbortReason::Cancelled { reason });
+        }
+        let deadline = self.deadline.as_ref()?;
+        let expired = tick & PROGRESS_STRIDE_MASK == 0 && deadline.is_expired();
+        let limit_ns = deadline.budget_ns;
+        expired.then_some(AbortReason::DeadlineExceeded { limit_ns })
     }
 }
 

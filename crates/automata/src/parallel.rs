@@ -208,23 +208,9 @@ fn explore_worker_into<TS: TransitionSystem>(
         if frontier.aborted.load(Ordering::Relaxed) {
             break;
         }
-        if let Some(token) = &limits.cancel {
-            if token.is_cancelled() {
-                frontier.trip(AbortReason::Cancelled {
-                    reason: token.reason().unwrap_or_default(),
-                });
-                break;
-            }
-        }
-        if ticks & PROGRESS_STRIDE_MASK == 0 {
-            if let Some(deadline) = &limits.deadline {
-                if deadline.is_expired() {
-                    frontier.trip(AbortReason::DeadlineExceeded {
-                        limit_ns: deadline.budget_ns,
-                    });
-                    break;
-                }
-            }
+        if let Some(reason) = limits.interruption(ticks) {
+            frontier.trip(reason);
+            break;
         }
         ticks += 1;
         let Some(state) = frontier.pop(w) else {
@@ -259,7 +245,7 @@ fn explore_worker_into<TS: TransitionSystem>(
                 // set — see `already_visited`) or no ample subset existed.
                 log.full_expansions += 1;
                 if exp.ample {
-                    ts.successors_full(&state)
+                    ts.successors(&state)
                 } else {
                     exp.states
                 }

@@ -8,8 +8,10 @@
 //! a counter-based degeneralization yields the final [`Nba`].
 
 use crate::guard::Guard;
+use crate::limits::SearchLimits;
 use crate::ltl::Ltl;
 use crate::nba::{Nba, StateId};
+use ddws_telemetry::AbortReason;
 use std::collections::{BTreeSet, HashMap};
 
 /// Interned subformulas for cheap set operations inside tableau nodes.
@@ -61,8 +63,15 @@ struct TableauState {
 const INIT: usize = usize::MAX;
 
 /// Translates an LTL formula into a Büchi automaton accepting exactly the
-/// words satisfying it.
+/// words satisfying it, with no limits.
 pub fn ltl_to_nba(formula: &Ltl) -> Nba {
+    ltl_to_nba_limits(formula, &SearchLimits::unbounded()).expect("no limit to stop at")
+}
+
+/// [`ltl_to_nba`] under the cancel token and deadline of `limits`, checked
+/// as the engines check them (the tableau is exponential in `U`/`R`
+/// nesting); the state budget and fault hook do not apply.
+pub fn ltl_to_nba_limits(formula: &Ltl, limits: &SearchLimits) -> Result<Nba, AbortReason> {
     let nnf = formula.nnf();
     let num_aps = nnf.max_ap().map_or(0, |m| m + 1);
 
@@ -80,7 +89,12 @@ pub fn ltl_to_nba(formula: &Ltl) -> Nba {
         next: BTreeSet::new(),
     }];
 
+    let mut ticks: u64 = 0;
     while let Some(mut node) = worklist.pop() {
+        if let Some(stop) = limits.interruption(ticks) {
+            return Err(stop);
+        }
+        ticks += 1;
         match pick(&node.new) {
             None => {
                 // Saturated: merge with an existing state or add a new one.
@@ -208,7 +222,7 @@ pub fn ltl_to_nba(formula: &Ltl) -> Nba {
         }
     }
 
-    build_nba(&arena, &states, num_aps)
+    Ok(build_nba(&arena, &states, num_aps))
 }
 
 /// Deterministic pick from the pending set (smallest id keeps the

@@ -296,17 +296,11 @@ impl Composition {
         }
     }
 
-    /// Tracks every channel's flags (the faithful default).
-    pub fn observe_all_flags(&mut self) {
-        self.observed_received.iter_mut().for_each(|b| *b = true);
-        self.observed_sent.iter_mut().for_each(|b| *b = true);
-    }
-
     /// Freezes every relation that neither a rule nor `observed` reads:
     /// previous-input chains and action relations become inert (their
     /// updates are skipped, so configurations that differ only in them
     /// collapse). Call with the set of relations the property/protocol
-    /// mentions; [`Composition::unfreeze_all`] restores full tracking.
+    /// mentions. A freshly built composition freezes nothing.
     pub fn freeze_unobserved(&mut self, observed: &std::collections::BTreeSet<RelId>) {
         self.frozen = vec![false; self.voc.len()];
         for peer in &self.peers {
@@ -332,11 +326,6 @@ impl Composition {
                 }
             }
         }
-    }
-
-    /// Restores tracking of every relation.
-    pub fn unfreeze_all(&mut self) {
-        self.frozen = vec![false; self.voc.len()];
     }
 
     /// Whether the composition is closed: every channel connects two peers

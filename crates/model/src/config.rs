@@ -84,16 +84,6 @@ impl Config {
         &self.queues[c.index()]
     }
 
-    /// First message of a channel's queue (`f(q)`).
-    pub fn first_message(&self, c: ChannelId) -> Option<&Message> {
-        self.queues[c.index()].front()
-    }
-
-    /// Last message of a channel's queue (`l(q)`).
-    pub fn last_message(&self, c: ChannelId) -> Option<&Message> {
-        self.queues[c.index()].back()
-    }
-
     /// Approximate heap footprint in bytes — the checkpoint-size
     /// accounting counterpart of
     /// [`CompactConfig::approx_bytes`](crate::compact::CompactConfig::approx_bytes).

@@ -35,10 +35,8 @@
 //! then degrades soundly to full expansion everywhere.
 
 use crate::composition::{ChannelRole, Composition, Mover};
-use crate::config::Config;
-use crate::view::Database;
 use ddws_logic::RelClass;
-use ddws_relational::{RelId, Value};
+use ddws_relational::RelId;
 use std::collections::BTreeSet;
 
 /// A mutable resource a mover's step may read or write. Database relations
@@ -177,24 +175,11 @@ impl IndependenceOracle {
         self.enabled && !self.eligible.is_empty()
     }
 
-    /// The ample mover to schedule from `_cfg`, or `None` when the
-    /// configuration must be fully expanded.
-    ///
-    /// The static footprints make eligibility configuration-independent,
-    /// so today this returns the first eligible mover everywhere; the
-    /// configuration parameter is part of the contract so a dynamic
-    /// refinement (e.g. queue-state-conditional independence) stays a
-    /// drop-in replacement.
-    pub fn ample_mover(&self, _cfg: &Config) -> Option<Mover> {
-        self.ample_mover_static()
-    }
-
-    /// The configuration-independent form of [`ample_mover`]: with static
-    /// footprints the ample choice never inspects the configuration, so
-    /// representation-agnostic callers (the compact state path never
-    /// materializes a [`Config`]) use this directly.
-    ///
-    /// [`ample_mover`]: Self::ample_mover
+    /// The ample mover to schedule, or `None` when every configuration
+    /// must be fully expanded. The static footprints make eligibility
+    /// configuration-independent, so the choice never inspects a
+    /// configuration and both state representations apply it without
+    /// materializing one.
     pub fn ample_mover_static(&self) -> Option<Mover> {
         if !self.enabled {
             return None;
@@ -288,52 +273,11 @@ fn mover_footprint(comp: &Composition, mover: Mover) -> Option<Footprint> {
     Some(fp)
 }
 
-impl Composition {
-    /// Reduced successor generation: the model-level entry point of the
-    /// ample-set reduction. Expands only the ample mover chosen by
-    /// `oracle` (falling back to all movers when none qualifies) and
-    /// returns `(successors-tagged-by-mover, ample)` where `ample` reports
-    /// whether the expansion was genuinely reduced.
-    ///
-    /// The verifier's product system applies the same selection inline (it
-    /// needs the mover choice per successor configuration); this entry
-    /// point is what model-level tests and tools drive directly.
-    pub fn successors_reduced(
-        &self,
-        db: &dyn Database,
-        domain: &[Value],
-        cfg: &Config,
-        oracle: &IndependenceOracle,
-    ) -> (Vec<(Mover, Config)>, bool) {
-        let movers = self.movers();
-        if let Some(m) = oracle.ample_mover(cfg) {
-            if movers.len() > 1 {
-                let succs = self
-                    .successors(db, domain, cfg, m)
-                    .into_iter()
-                    .map(|c| (m, c))
-                    .collect();
-                return (succs, true);
-            }
-        }
-        let mut out = Vec::new();
-        for m in movers {
-            out.extend(
-                self.successors(db, domain, cfg, m)
-                    .into_iter()
-                    .map(|c| (m, c)),
-            );
-        }
-        (out, false)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::CompositionBuilder;
     use crate::composition::QueueKind;
-    use ddws_relational::Instance;
 
     /// Two peers joined by a channel plus a channel-free auditor: the
     /// chained peers conflict through the queue, the auditor is
@@ -394,23 +338,5 @@ mod tests {
         comp.semantics.strict_input_validity = true;
         let oracle = IndependenceOracle::new(&comp, &BTreeSet::new());
         assert!(!oracle.can_reduce());
-    }
-
-    #[test]
-    fn reduced_successors_schedule_only_the_auditor() {
-        let comp = chained_with_auditor();
-        let oracle = IndependenceOracle::new(&comp, &BTreeSet::new());
-        let db = Instance::empty(&comp.voc);
-        let domain: Vec<Value> = Vec::new();
-        let cfg = comp
-            .initial_configs(&db, &domain)
-            .into_iter()
-            .next()
-            .unwrap();
-        let aud = comp.peer_by_name("Aud").unwrap().id;
-        let (succs, ample) = comp.successors_reduced(&db, &domain, &cfg, &oracle);
-        assert!(ample);
-        assert!(!succs.is_empty());
-        assert!(succs.iter().all(|(m, _)| *m == Mover::Peer(aud)));
     }
 }

@@ -24,7 +24,7 @@
 //! the environment's in-queues and emits messages over the verification
 //! domain on its out-queues (§5), subject to the same channel semantics.
 
-use crate::composition::{Composition, Endpoint, Mover, Peer, PeerId, QueueKind};
+use crate::composition::{Composition, Mover, Peer, PeerId, QueueKind};
 use crate::config::{Config, Message};
 use crate::plan::{EvalCtx, RuleRef};
 use crate::view::{Database, RuleView};
@@ -512,12 +512,6 @@ pub(crate) fn dedup_preserving_order<T: Hash + Eq>(items: Vec<T>) -> Vec<T> {
         out.push(item);
     }
     out
-}
-
-/// Environment endpoint helper re-export for tests.
-#[doc(hidden)]
-pub fn is_env(e: Endpoint) -> bool {
-    e == Endpoint::Environment
 }
 
 #[cfg(test)]

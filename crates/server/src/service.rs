@@ -1450,6 +1450,61 @@ mod tests {
     }
 
     #[test]
+    fn a_wedging_translation_cancels_over_the_wire_and_frees_its_worker() {
+        // The negated right-nested `U` chain takes minutes to translate to
+        // an automaton. Translation observes the job's cancel token, so a
+        // wire cancel ends the job and the worker takes the next one.
+        let server = Arc::new(Server::new(ServerConfig::default()));
+        let mut spec = ddws_testkit::compgen::spec(&mut ddws_testkit::rng::XorShift::new(7));
+        let link = format!("W{}.pick(x)", spec.relays[0]);
+        let chain = (0..12).fold(link.clone(), |tail, _| format!("{link} U ({tail})"));
+        spec.property = format!("forall x: {chain}");
+        let submit = Request::SubmitJob {
+            spec: JobSpec::Spec(spec),
+            options: JobOptions::default(),
+            submit_token: None,
+        };
+        let wedged = match roundtrip(&server, 1, &submit) {
+            Response::Accepted { job } => job,
+            other => panic!("submit rejected: {other:?}"),
+        };
+        let pool = server.run_workers(1);
+        let wait_for = |what: &str, done: &dyn Fn(&[JobSummary]) -> bool| {
+            let started = Instant::now();
+            while !done(&server.jobs()) {
+                assert!(
+                    started.elapsed() < Duration::from_secs(30),
+                    "timed out waiting for {what}: {:?}",
+                    server.jobs()
+                );
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        };
+        wait_for("the slice to start", &|rows| {
+            rows[wedged as usize].state == JobState::Running
+        });
+        std::thread::sleep(Duration::from_millis(200));
+        assert_eq!(
+            server.jobs()[wedged as usize].state,
+            JobState::Running,
+            "the chain must still be translating"
+        );
+        match roundtrip(&server, 2, &Request::CancelJob { job: wedged }) {
+            Response::Cancelled { job } => assert_eq!(job, wedged),
+            other => panic!("unexpected cancel response: {other:?}"),
+        }
+        let next = submit_scenario(&server, 3, "req_resp", 100_000);
+        wait_for("both jobs to end", &|rows| {
+            rows[wedged as usize].state.is_terminal() && rows[next as usize].state.is_terminal()
+        });
+        pool.shutdown();
+        let rows = server.jobs();
+        assert_eq!(rows[wedged as usize].state, JobState::Cancelled);
+        assert_eq!(rows[wedged as usize].verdict.as_deref(), Some("cancelled"));
+        assert_eq!(rows[next as usize].verdict.as_deref(), Some("holds"));
+    }
+
+    #[test]
     fn wall_mode_workers_drain_the_queue() {
         let server = Arc::new(Server::new(ServerConfig::default()));
         let jobs: Vec<u64> = (0..4)

@@ -20,9 +20,14 @@
 //! value permutations, and its lassos are lifted back before they are
 //! reported.
 //!
-//! All caches are sharded behind `RwLock`s so one `ProductSystem` can be
+//! The product memoizes no expansion per state: the engines own that
+//! reuse. A re-expansion costs a snapshot letter plus lookups in the memos
+//! that outlive it — [`SharedSearch`]'s steps and boots, the symmetry
+//! reduction's representatives — and returns the same successors.
+//!
+//! Those memos are sharded behind `RwLock`s so one `ProductSystem` can be
 //! expanded from many worker threads at once (see
-//! [`parallel`](crate::parallel)). Cached values are pure functions of
+//! [`parallel`](crate::parallel)). Memoized values are pure functions of
 //! their keys, so the benign race — two threads computing the same entry
 //! before either publishes it — wastes a little work but never changes a
 //! result.
@@ -72,9 +77,8 @@ pub enum PState {
 const SHARDS: usize = 16;
 
 /// A sharded `HashMap` cache; values are cloned out under a read lock.
-/// Callers store `Arc`-wrapped successor sets (`Arc<[u32]>`,
-/// `Arc<[PState]>`), so the clone is a refcount bump, never a deep copy of
-/// the cached expansion.
+/// Callers store ids or `Arc`-wrapped successor sets (`Arc<[u32]>`), so
+/// the clone is a refcount bump, never a deep copy of the cached step.
 struct ShardedMap<K, V> {
     shards: Vec<RwLock<HashMap<K, V>>>,
 }
@@ -222,11 +226,6 @@ impl SharedSearch {
         self
     }
 
-    /// Whether this shared state uses the compact representation.
-    pub fn is_compact(&self) -> bool {
-        self.compact.is_some()
-    }
-
     /// Intern-table counters: (calls, hits, misses) summed over the
     /// extension pool and the configuration interner. All zero under the
     /// legacy representation.
@@ -261,13 +260,6 @@ impl SharedSearch {
             compiled: self.compiled.as_ref(),
             cache: Some(&self.rule_cache),
         }
-    }
-
-    /// Accumulated rule-evaluation metrics: (cache hits, cache misses,
-    /// nanoseconds spent evaluating rules).
-    pub fn rule_stats(&self) -> (u64, u64, u64) {
-        let c = &self.rule_cache;
-        (c.hits(), c.misses(), c.eval_ns())
     }
 
     /// Writes this shared state's accumulated meters — rule-cache counts,
@@ -325,14 +317,8 @@ pub struct ProductSystem<'a> {
     /// The snapshot atoms the automaton's propositions refer to.
     pub atoms: &'a AtomRegistry,
     shared: &'a SharedSearch,
-    // The nested DFS expands every state twice (blue + red pass); successor
-    // computation dominates, so memoize the full product expansion too.
-    succ_cache: ShardedMap<PState, Arc<[PState]>>,
     /// Ample-set reduction; `None` explores every interleaving.
     reduction: Option<&'a IndependenceOracle>,
-    /// Memoized reduced expansions (separate from `succ_cache`: the C3
-    /// fallback needs the *full* expansion of the same state).
-    ample_cache: ShardedMap<PState, (Arc<[PState]>, bool)>,
     /// Symmetry reduction; `None` when no two values are interchangeable.
     symmetry: Option<Symmetry>,
 }
@@ -358,9 +344,7 @@ impl<'a> ProductSystem<'a> {
             nba,
             atoms,
             shared,
-            succ_cache: ShardedMap::default(),
             reduction: None,
-            ample_cache: ShardedMap::default(),
             symmetry: crate::symmetry::product_classes(comp, base_db, universe, domain, atoms).map(
                 |classes| Symmetry {
                     classes,
@@ -608,12 +592,7 @@ impl TransitionSystem for ProductSystem<'_> {
     }
 
     fn successors(&self, s: &PState) -> Arc<[PState]> {
-        if let Some(cached) = self.succ_cache.get(s) {
-            return cached;
-        }
-        let result: Arc<[PState]> = self.expand(s, None).0.into();
-        self.succ_cache.insert(*s, result.clone());
-        result
+        self.expand(s, None).0.into()
     }
 
     fn is_accepting(&self, s: &PState) -> bool {
@@ -630,13 +609,11 @@ impl TransitionSystem for ProductSystem<'_> {
                 ample: false,
             };
         };
-        if let Some((states, ample)) = self.ample_cache.get(s) {
-            return Expansion { states, ample };
-        }
         let (states, ample) = self.expand(s, Some(ind));
-        let states: Arc<[PState]> = states.into();
-        self.ample_cache.insert(*s, (states.clone(), ample));
-        Expansion { states, ample }
+        Expansion {
+            states: states.into(),
+            ample,
+        }
     }
 
     fn reduction_active(&self) -> bool {

@@ -47,7 +47,7 @@
 use crate::counterexample::Counterexample;
 use crate::product::PState;
 use crate::verify::VerifyOptions;
-use ddws_automata::{ltl_to_nba, EngineCheckpoint, Ltl, Nba, SearchLimits};
+use ddws_automata::{ltl_to_nba_limits, EngineCheckpoint, Ltl, Nba, SearchLimits};
 use ddws_logic::VarId;
 use ddws_relational::Value;
 use ddws_telemetry::{AbortReason, CancelToken, SearchStats};
@@ -137,17 +137,23 @@ impl NbaCache {
         }
     }
 
-    /// The NBA for a grounded formula, translating on first sight.
-    pub(crate) fn translate(&self, ltl: &Ltl) -> std::sync::Arc<Nba> {
+    /// The NBA for a grounded formula, translating on first sight under
+    /// the cancellation token and deadline of `limits`. A stopped
+    /// translation caches nothing.
+    pub(crate) fn translate(
+        &self,
+        ltl: &Ltl,
+        limits: &SearchLimits,
+    ) -> Result<std::sync::Arc<Nba>, AbortReason> {
         let mut map = self.map.lock().unwrap_or_else(|p| p.into_inner());
         if let Some(nba) = map.get(ltl) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return std::sync::Arc::clone(nba);
+            return Ok(std::sync::Arc::clone(nba));
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let nba = std::sync::Arc::new(ltl_to_nba(ltl));
+        let nba = std::sync::Arc::new(ltl_to_nba_limits(ltl, limits)?);
         map.insert(ltl.clone(), std::sync::Arc::clone(&nba));
-        nba
+        Ok(nba)
     }
 
     /// Accumulates ground+translate wall time from one shard. Shards add
@@ -204,6 +210,22 @@ pub(crate) enum TaskVerdict {
 pub(crate) struct TaskOutput {
     pub(crate) stats: SearchStats,
     pub(crate) verdict: TaskVerdict,
+}
+
+impl TaskOutput {
+    /// A task that stopped before its engine froze a frontier.
+    pub(crate) fn stopped(reason: AbortReason) -> TaskOutput {
+        TaskOutput {
+            stats: SearchStats {
+                truncated: true,
+                ..SearchStats::default()
+            },
+            verdict: TaskVerdict::Stopped {
+                reason,
+                checkpoint: None,
+            },
+        }
+    }
 }
 
 /// The classified result of one scheduler run over a batch of valuations.
@@ -290,16 +312,10 @@ where
 {
     match catch_unwind(AssertUnwindSafe(|| runner(valuation, resume, limits))) {
         Ok(out) => out,
-        Err(payload) => TaskOutput {
-            stats: SearchStats::default(),
-            verdict: TaskVerdict::Stopped {
-                reason: AbortReason::WorkerPanicked {
-                    worker: shard,
-                    payload: payload_string(payload.as_ref()),
-                },
-                checkpoint: None,
-            },
-        },
+        Err(payload) => TaskOutput::stopped(AbortReason::WorkerPanicked {
+            worker: shard,
+            payload: payload_string(payload.as_ref()),
+        }),
     }
 }
 

@@ -416,11 +416,6 @@ impl Checkpoint {
                 .sum::<u64>()
     }
 
-    /// Universal-closure valuations not yet fully checked.
-    pub fn valuations_remaining(&self) -> usize {
-        self.valuations.len()
-    }
-
     /// States visited by the deepest in-flight leg alone — the count the
     /// engine's `max_states` cap is measured against on resume. The cap
     /// is **per universal-closure valuation** (a fresh valuation starts
@@ -1138,6 +1133,7 @@ impl Verifier {
             valuations.iter().cloned().zip(resumes).collect();
         let comp = &self.comp;
         let meta_ref: &crate::telemetry::RunMeta = meta;
+        let unlimited = ddws_automata::SearchLimits::unbounded();
         let runner = |valuation: &HashMap<VarId, Value>,
                       resume: Option<EngineCheckpoint<PState>>,
                       limits: &ddws_automata::SearchLimits|
@@ -1169,9 +1165,14 @@ impl Verifier {
                         };
                     }
                     let ltl = goal.ground(negated_body, valuation, &mut atoms);
-                    let nba = cache.translate(&ltl);
+                    // A resumed leg's shape finished translating in the run
+                    // that froze it, and a stop here would drop its frontier.
+                    let nba = cache.translate(&ltl, resume.as_ref().map_or(limits, |_| &unlimited));
                     cache.add_ns(nba_start.elapsed().as_nanos() as u64);
-                    nba
+                    match nba {
+                        Ok(nba) => nba,
+                        Err(reason) => return crate::scheduler::TaskOutput::stopped(reason),
+                    }
                 }
                 (_, None) => unreachable!("property goals negate their body"),
             };

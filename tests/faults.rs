@@ -26,3 +26,40 @@ fn fault_swarm_is_robust_across_the_engine_matrix() {
     common::silence_injected_panics();
     gen::cases(240, seed_from("fault_swarm"), common::assert_fault_case);
 }
+
+#[test]
+fn a_long_until_chain_stops_at_its_deadline_during_translation() {
+    // The negated right-nested chain `p U (p U … p)` makes the LTL→NBA
+    // tableau exponential in its length: twelve links take minutes to
+    // translate. Translation runs under the check's deadline, so the run
+    // ends inconclusive shortly after 200 ms instead.
+    use ddws::scenarios::chains;
+    use ddws_verifier::{AbortReason, DatabaseMode, Outcome, Verifier, VerifyOptions};
+    use std::time::{Duration, Instant};
+
+    let (comp, db) = chains::nested_relay(2, 0, 0, false);
+    let link = "P0.emit(x)";
+    let chain = (0..12).fold(link.to_string(), |tail, _| format!("{link} U ({tail})"));
+    let opts = VerifyOptions {
+        database: DatabaseMode::Fixed(db),
+        deadline: Some(Duration::from_millis(200)),
+        ..VerifyOptions::default()
+    };
+    let started = Instant::now();
+    let report = Verifier::new(comp)
+        .check_str(&format!("forall x: {chain}"), &opts)
+        .expect("the chain is a valid property");
+    let elapsed = started.elapsed();
+    match report.outcome {
+        Outcome::Inconclusive(inc) => assert!(
+            matches!(inc.reason, AbortReason::DeadlineExceeded { .. }),
+            "unexpected stop: {}",
+            inc.reason
+        ),
+        _ => panic!("a 12-link chain cannot translate within 200 ms"),
+    }
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "the deadline was observed only after {elapsed:?}"
+    );
+}
