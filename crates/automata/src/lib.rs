@@ -19,7 +19,6 @@
 //! * [`parallel`] — the multi-threaded counterpart: work-stealing
 //!   reachability plus SCC-based lasso extraction, verdict-identical to
 //!   the sequential search,
-//! * [`product`] — intersection of Büchi automata,
 //! * [`complement`] — complementation: the two-copy construction for
 //!   deterministic automata and the rank-based (Kupferman–Vardi)
 //!   construction for small nondeterministic ones (needed to check that
@@ -37,7 +36,6 @@ pub mod limits;
 pub mod ltl;
 pub mod nba;
 pub mod parallel;
-pub mod product;
 pub mod translate;
 
 pub use emptiness::{

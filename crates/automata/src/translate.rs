@@ -52,11 +52,10 @@ struct Node {
     next: BTreeSet<usize>,
 }
 
-/// A finished tableau state.
+/// A finished tableau state (its `next` set lives only in the merge map).
 struct TableauState {
     incoming: BTreeSet<usize>,
     old: BTreeSet<usize>,
-    next: BTreeSet<usize>,
 }
 
 /// Sentinel id for the virtual initial node.
@@ -79,6 +78,8 @@ pub fn ltl_to_nba_limits(formula: &Ltl, limits: &SearchLimits) -> Result<Nba, Ab
     let root = arena.intern(&nnf);
 
     let mut states: Vec<TableauState> = Vec::new();
+    // Each state's (old, next) signature, for the saturated-node merge.
+    let mut state_ids: HashMap<(BTreeSet<usize>, BTreeSet<usize>), usize> = HashMap::new();
     // The classical `expand` is recursive; a worklist of pending nodes keeps
     // it iterative (the order of expansion does not matter — duplicate
     // saturated nodes merge by their (old, next) signature).
@@ -98,25 +99,23 @@ pub fn ltl_to_nba_limits(formula: &Ltl, limits: &SearchLimits) -> Result<Nba, Ab
         match pick(&node.new) {
             None => {
                 // Saturated: merge with an existing state or add a new one.
-                if let Some(existing) = states
-                    .iter_mut()
-                    .find(|s| s.old == node.old && s.next == node.next)
-                {
-                    existing.incoming.extend(node.incoming.iter().copied());
+                let signature = (node.old, node.next);
+                if let Some(&existing) = state_ids.get(&signature) {
+                    states[existing].incoming.extend(node.incoming);
                     continue;
                 }
                 let id = states.len();
                 states.push(TableauState {
                     incoming: node.incoming,
-                    old: node.old,
-                    next: node.next.clone(),
+                    old: signature.0.clone(),
                 });
                 worklist.push(Node {
                     incoming: BTreeSet::from([id]),
-                    new: node.next,
+                    new: signature.1.clone(),
                     old: BTreeSet::new(),
                     next: BTreeSet::new(),
                 });
+                state_ids.insert(signature, id);
             }
             Some(eta) => {
                 node.new.remove(&eta);

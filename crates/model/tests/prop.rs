@@ -1,10 +1,10 @@
-//! Property-based tests of the run semantics (Definitions 2.3–2.6):
+//! Randomized tests of the run semantics (Definitions 2.3–2.6):
 //! invariants that must hold for every reachable configuration and every
 //! successor, under randomized databases, domains and exploration order.
 
 use ddws_model::{Composition, CompositionBuilder, Config, Mover, QueueKind, Semantics};
 use ddws_relational::{Instance, Tuple, Value};
-use ddws_testkit::proptest::prelude::*;
+use ddws_testkit::{gen, seed_from};
 use std::collections::HashSet;
 
 fn relay(k: usize, lossy: bool) -> Composition {
@@ -72,79 +72,100 @@ fn explore(
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Queue bounds hold in every reachable configuration.
-    #[test]
-    fn queue_bound_is_invariant(k in 1usize..4, lossy in any::<bool>(), n in 1usize..3) {
+/// Queue bounds hold in every reachable configuration, for random relay
+/// parameters.
+#[test]
+fn queue_bound_is_invariant() {
+    gen::cases(12, seed_from("queue_bound_is_invariant"), |rng| {
+        let k = rng.range(1, 4);
+        let lossy = rng.bool();
+        let n = rng.range(1, 3);
         let mut comp = relay(k, lossy);
         let (db, dom) = db_of(&mut comp, n);
         explore(&comp, &db, &dom, 3_000, &mut |comp, _, _, s| {
             for q in s.queues.iter() {
-                assert!(q.len() <= comp.semantics.queue_bound);
+                assert!(
+                    q.len() <= comp.semantics.queue_bound,
+                    "queue bound {k} exceeded (lossy={lossy}, n={n})"
+                );
             }
         });
-    }
+    });
+}
 
-    /// A non-mover's state, inputs and previous inputs are untouched by a
-    /// step (Definition 2.6); only its queues may change.
-    #[test]
-    fn non_movers_are_frozen(k in 1usize..3, lossy in any::<bool>()) {
+/// A non-mover's state, inputs and previous inputs are untouched by a
+/// step (Definition 2.6); only its queues may change.
+#[test]
+fn non_movers_are_frozen() {
+    gen::cases(12, seed_from("non_movers_are_frozen"), |rng| {
+        let k = rng.range(1, 3);
+        let lossy = rng.bool();
         let mut comp = relay(k, lossy);
         let (db, dom) = db_of(&mut comp, 2);
-        explore(&comp, &db, &dom, 2_000, &mut |comp, before, mover, after| {
-            for peer in &comp.peers {
-                if Mover::Peer(peer.id) == mover {
+        explore(
+            &comp,
+            &db,
+            &dom,
+            2_000,
+            &mut |comp, before, mover, after| {
+                for peer in &comp.peers {
+                    if Mover::Peer(peer.id) == mover {
+                        continue;
+                    }
+                    for &rel in peer
+                        .states
+                        .iter()
+                        .chain(&peer.inputs)
+                        .chain(peer.prev.iter().flatten())
+                        .chain(&peer.actions)
+                    {
+                        assert_eq!(
+                            before.rel.relation(rel),
+                            after.rel.relation(rel),
+                            "non-mover relation {} changed (k={k}, lossy={lossy})",
+                            comp.voc.name(rel)
+                        );
+                    }
+                }
+            },
+        );
+    });
+}
+
+/// Perfect channels deliver: when the mover sends and the queue has
+/// room, at least one successor has the message enqueued.
+#[test]
+fn perfect_channels_always_offer_delivery() {
+    gen::cases(
+        12,
+        seed_from("perfect_channels_always_offer_delivery"),
+        |rng| {
+            let k = rng.range(1, 3);
+            let mut comp = relay(k, false);
+            let (db, dom) = db_of(&mut comp, 1);
+            let (belt, _) = comp.channel_by_name("belt").unwrap();
+            let a = comp.peer_by_name("A").unwrap().id;
+            let push = comp.voc.lookup("A.push").unwrap();
+            for c in comp.initial_configs(&db, &dom) {
+                if c.rel.relation(push).is_empty() {
                     continue;
                 }
-                for &rel in peer
-                    .states
-                    .iter()
-                    .chain(&peer.inputs)
-                    .chain(peer.prev.iter().flatten())
-                    .chain(&peer.actions)
-                {
-                    assert_eq!(
-                        before.rel.relation(rel),
-                        after.rel.relation(rel),
-                        "non-mover relation {} changed",
-                        comp.voc.name(rel)
-                    );
-                }
+                let succs = comp.successors(&db, &dom, &c, Mover::Peer(a));
+                assert!(
+                    succs.iter().any(|s| !s.queues[belt.index()].is_empty()),
+                    "perfect channel must offer the delivery branch (k={k})"
+                );
             }
-        });
-    }
+        },
+    );
+}
 
-    /// Perfect channels deliver: when the mover sends and the queue has
-    /// room, at least one successor has the message enqueued.
-    #[test]
-    fn perfect_channels_always_offer_delivery(k in 1usize..3) {
-        let mut comp = relay(k, false);
-        let (db, dom) = db_of(&mut comp, 1);
-        let (belt, _) = comp.channel_by_name("belt").unwrap();
-        let a = comp.peer_by_name("A").unwrap().id;
-        let push = comp.voc.lookup("A.push").unwrap();
-        explore(&comp, &db, &dom, 2_000, &mut |_, before, mover, _| {
-            // Only meaningful when A moves with a chosen push and room.
-            let _ = (before, mover);
-        });
-        // Direct check at the initial configurations.
-        for c in comp.initial_configs(&db, &dom) {
-            if c.rel.relation(push).is_empty() {
-                continue;
-            }
-            let succs = comp.successors(&db, &dom, &c, Mover::Peer(a));
-            assert!(
-                succs.iter().any(|s| !s.queues[belt.index()].is_empty()),
-                "perfect channel must offer the delivery branch"
-            );
-        }
-    }
-
-    /// Successor sets are duplicate-free.
-    #[test]
-    fn successors_are_deduplicated(k in 1usize..3, lossy in any::<bool>()) {
+/// Successor sets are duplicate-free from random initial configurations.
+#[test]
+fn successors_are_deduplicated() {
+    gen::cases(12, seed_from("successors_are_deduplicated"), |rng| {
+        let k = rng.range(1, 3);
+        let lossy = rng.bool();
         let mut comp = relay(k, lossy);
         let (db, dom) = db_of(&mut comp, 2);
         let movers = comp.movers();
@@ -155,5 +176,5 @@ proptest! {
                 assert_eq!(unique.len(), succs.len());
             }
         }
-    }
+    });
 }

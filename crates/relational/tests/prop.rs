@@ -1,73 +1,82 @@
-//! Property-based tests for the relational substrate.
+//! Randomized tests for the relational substrate: the relation laws and
+//! the active domain, on seeded `ddws-testkit` case streams.
 
 use ddws_relational::{Instance, Relation, Symbols, Tuple, Value, Vocabulary};
-use ddws_testkit::proptest::{self, prelude::*};
+use ddws_testkit::{gen, rng::XorShift, seed_from};
+use std::collections::BTreeSet;
 
-fn arb_tuple(arity: usize, dom: u32) -> impl Strategy<Value = Tuple> {
-    proptest::collection::vec(0..dom, arity).prop_map(|vs| vs.into_iter().map(Value).collect())
+fn gen_tuple(rng: &mut XorShift, arity: usize, dom: u64) -> Tuple {
+    (0..arity).map(|_| Value(rng.below(dom) as u32)).collect()
 }
 
-fn arb_relation(arity: usize, dom: u32, max_len: usize) -> impl Strategy<Value = Relation> {
-    proptest::collection::vec(arb_tuple(arity, dom), 0..=max_len).prop_map(Relation::from_tuples)
+fn gen_relation(rng: &mut XorShift, arity: usize, dom: u64, max_len: usize) -> Relation {
+    Relation::from_tuples(gen::vec_of(rng, 0, max_len, |r| gen_tuple(r, arity, dom)))
 }
 
-proptest! {
-    /// A relation built from any permutation of the same tuples is identical.
-    #[test]
-    fn relation_is_canonical(tuples in proptest::collection::vec(arb_tuple(2, 5), 0..12)) {
+#[test]
+fn relation_is_canonical() {
+    gen::cases(64, seed_from("relation_is_canonical"), |rng| {
+        let tuples = gen::vec_of(rng, 0, 12, |r| gen_tuple(r, 2, 5));
         let forward = Relation::from_tuples(tuples.clone());
-        let mut reversed = tuples.clone();
+        let mut reversed = tuples;
         reversed.reverse();
-        let backward = Relation::from_tuples(reversed);
-        prop_assert_eq!(&forward, &backward);
-    }
+        assert_eq!(forward, Relation::from_tuples(reversed));
+    });
+}
 
-    /// `insert` then `contains` holds; `remove` then `contains` fails.
-    #[test]
-    fn insert_remove_roundtrip(mut rel in arb_relation(2, 5, 10), t in arb_tuple(2, 5)) {
+#[test]
+fn insert_remove_roundtrip() {
+    gen::cases(64, seed_from("insert_remove_roundtrip"), |rng| {
+        let mut rel = gen_relation(rng, 2, 5, 10);
+        let t = gen_tuple(rng, 2, 5);
         rel.insert(t.clone());
-        prop_assert!(rel.contains(&t));
+        assert!(rel.contains(&t));
         rel.remove(&t);
-        prop_assert!(!rel.contains(&t));
-    }
+        assert!(!rel.contains(&t));
+    });
+}
 
-    /// Union is commutative, and both arguments embed into it.
-    #[test]
-    fn union_laws(a in arb_relation(1, 6, 10), b in arb_relation(1, 6, 10)) {
+#[test]
+fn union_laws() {
+    gen::cases(64, seed_from("union_laws"), |rng| {
+        let a = gen_relation(rng, 1, 6, 10);
+        let b = gen_relation(rng, 1, 6, 10);
         let u = a.union(&b);
-        prop_assert_eq!(&u, &b.union(&a));
-        for t in a.iter() {
-            prop_assert!(u.contains(t));
-        }
-        for t in b.iter() {
-            prop_assert!(u.contains(t));
-        }
-        prop_assert!(u.len() <= a.len() + b.len());
-    }
+        assert_eq!(u, b.union(&a));
+        assert!(a.iter().all(|t| u.contains(t)));
+        assert!(b.iter().all(|t| u.contains(t)));
+        assert!(u.len() <= a.len() + b.len());
+    });
+}
 
-    /// `difference` and `intersection` partition the left argument.
-    #[test]
-    fn difference_intersection_partition(a in arb_relation(1, 6, 10), b in arb_relation(1, 6, 10)) {
+#[test]
+fn difference_intersection_partition() {
+    gen::cases(64, seed_from("difference_intersection_partition"), |rng| {
+        let a = gen_relation(rng, 1, 6, 10);
+        let b = gen_relation(rng, 1, 6, 10);
         let d = a.difference(&b);
         let i = a.intersection(&b);
-        prop_assert_eq!(d.len() + i.len(), a.len());
-        prop_assert!(d.intersection(&i).is_empty());
-        prop_assert_eq!(&d.union(&i), &a);
-    }
+        assert_eq!(d.len() + i.len(), a.len());
+        assert!(d.intersection(&i).is_empty());
+        assert_eq!(d.union(&i), a);
+    });
+}
 
-    /// The active domain of an instance is exactly the set of values in its tuples.
-    #[test]
-    fn active_domain_is_exact(tuples in proptest::collection::vec(arb_tuple(3, 8), 0..10)) {
+/// The active domain of an instance is exactly the set of values in its tuples.
+#[test]
+fn active_domain_is_exact() {
+    gen::cases(64, seed_from("active_domain_is_exact"), |rng| {
+        let tuples = gen::vec_of(rng, 0, 9, |r| gen_tuple(r, 3, 8));
         let mut voc = Vocabulary::new();
         let r = voc.declare("R", 3).unwrap();
         let mut inst = Instance::empty(&voc);
-        let mut expected = std::collections::BTreeSet::new();
+        let mut expected = BTreeSet::new();
         for t in &tuples {
             expected.extend(t.values().iter().copied());
             inst.relation_mut(r).insert(t.clone());
         }
-        prop_assert_eq!(inst.active_domain(), expected);
-    }
+        assert_eq!(inst.active_domain(), expected);
+    });
 }
 
 #[test]

@@ -20,11 +20,13 @@
 //!    reports, deadlock, loss-closure failures) are *recorded* on the
 //!    run, so the harness can hand the failing schedule to the shrinker
 //!    instead of dying mid-run.
-//! 3. **Shrinking.** A failing seed is delta-debugged with the existing
-//!    `compgen::minimize`: the violating job's spec is minimized against
-//!    the *identical* schedule (same seed, same RNG stream, case swapped
-//!    in after the draw phase), yielding a 1-minimal spec plus the
-//!    canonical trace as the minimized schedule.
+//! 3. **Shrinking.** A failing seed is delta-debugged with
+//!    `compgen::minimize_spec`: the violating job's spec is minimized
+//!    against the *identical* schedule (same seed, same RNG stream, spec
+//!    swapped in after the draw phase), yielding a 1-minimal spec plus the
+//!    canonical trace of the minimized schedule. Both harnesses (the
+//!    in-process simulator and the service simulator) take the override
+//!    as a `CaseSpec` and return one [`ShrunkFailure`].
 
 #![warn(missing_docs)]
 
@@ -37,7 +39,7 @@ pub use event::{canonical_trace, SimEvent};
 pub use service::{
     fairness_violations, run_service_seed, run_service_seed_with_override,
     shrink_service_violation, ChaosTransport, ServiceBug, ServiceJob, ServiceRun,
-    ServiceSimOptions, ShrunkServiceFailure,
+    ServiceSimOptions,
 };
 pub use sim::{
     run_seed, run_with_case_override, run_with_jobs, shrink_first_violation, JobRecord, JobSource,

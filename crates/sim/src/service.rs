@@ -49,6 +49,7 @@
 //! the identical RNG stream, yielding a 1-minimal spec plus the
 //! minimized run's canonical trace.
 
+use crate::sim::ShrunkFailure;
 use ddws_server::{
     decode_response, encode_request, CexDigest, ClientError, ClientSession, CrashInjector,
     ErrorCode, JobOptions, JobSpec, Request, Response, RetryPolicy, Server, ServerConfig,
@@ -774,25 +775,6 @@ fn run_service_impl(
     }
 }
 
-/// A service-level violation shrunk to a 1-minimal failing spec under
-/// the identical seeded schedule.
-#[derive(Clone, Debug)]
-pub struct ShrunkServiceFailure {
-    /// The driving seed.
-    pub seed: u64,
-    /// Draw-order index of the violating job.
-    pub job: usize,
-    /// The originally drawn spec.
-    pub spec: CaseSpec,
-    /// The 1-minimal spec that still violates under the same schedule.
-    pub min: CaseSpec,
-    /// The original run's attributed violations.
-    pub attributed: Vec<(usize, String)>,
-    /// Canonical service log of the re-run under the minimal spec — the
-    /// minimized schedule.
-    pub trace: String,
-}
-
 impl ServiceRun {
     /// The first attributed violation whose job is a drawn compgen spec
     /// (scenario jobs — e.g. the starver — have nothing to shrink).
@@ -815,7 +797,7 @@ impl ServiceRun {
 pub fn shrink_service_violation(
     run: &ServiceRun,
     opts: &ServiceSimOptions,
-) -> Option<ShrunkServiceFailure> {
+) -> Option<ShrunkFailure> {
     let job = run.shrinkable_violation()?;
     let spec = run
         .jobs
@@ -829,12 +811,12 @@ pub fn shrink_service_violation(
             .any(|(j, _)| *j == job)
     });
     let rerun = run_service_seed_with_override(run.seed, opts, job, &min);
-    Some(ShrunkServiceFailure {
+    Some(ShrunkFailure {
         seed: run.seed,
         job,
         spec,
         min,
-        attributed: run.attributed.clone(),
+        violations: run.attributed.clone(),
         trace: rerun.trace,
     })
 }

@@ -189,22 +189,24 @@ pub fn run_with_jobs(seed: u64, opts: &SimOptions, extra: &[JobSource]) -> SimRu
     run_impl(seed, opts, extra, None)
 }
 
-/// Re-runs the simulation for `seed` with job `job`'s case replaced by
-/// `case` *after* all random draws — the RNG stream, the schedule, and
-/// every other job are unchanged, so the shrinker minimizes the case
+/// Re-runs the simulation for `seed` with job `job`'s spec replaced by
+/// `spec` *after* all random draws — the RNG stream, the schedule, and
+/// every other job are unchanged, so the shrinker minimizes the spec
 /// against the exact failing schedule.
 pub fn run_with_case_override(
     seed: u64,
     opts: &SimOptions,
     job: usize,
-    case: &compgen::Case,
+    spec: &compgen::CaseSpec,
 ) -> SimRun {
-    run_impl(seed, opts, &[], Some((job, case)))
+    run_impl(seed, opts, &[], Some((job, spec)))
 }
 
-/// The outcome of shrinking a failing run: the seed, the violating job,
-/// its original and 1-minimal specs, and the failing run's violations
-/// and canonical trace (the minimized schedule).
+/// The outcome of shrinking a failing run, from either harness
+/// ([`shrink_first_violation`] or
+/// [`shrink_service_violation`](crate::shrink_service_violation)): the
+/// seed, the violating job, its original and 1-minimal specs, the
+/// failing run's violations, and the minimized schedule's trace.
 #[derive(Clone, Debug)]
 pub struct ShrunkFailure {
     /// The failing seed.
@@ -215,16 +217,18 @@ pub struct ShrunkFailure {
     pub spec: compgen::CaseSpec,
     /// The 1-minimal spec that still violates under the same schedule.
     pub min: compgen::CaseSpec,
-    /// The failing run's violations.
+    /// The failing run's violations attributed to a job, `(job, detail)`.
     pub violations: Vec<(usize, String)>,
-    /// The failing run's canonical trace.
+    /// The canonical trace of the re-run under `min` — the minimized
+    /// schedule.
     pub trace: String,
 }
 
 /// Runs `seed`; if an invariant violation is attributable to a compgen
-/// job, delta-debugs that job's spec down to a 1-minimal spec that still
-/// produces a violation under the identical schedule. Returns `None`
-/// when the run is healthy (or only fixed jobs violated).
+/// job, delta-debugs that job's spec with [`compgen::minimize_spec`] down
+/// to a 1-minimal spec that still produces a violation under the
+/// identical schedule. Returns `None` when the run is healthy (or only
+/// fixed jobs violated).
 pub fn shrink_first_violation(seed: u64, opts: &SimOptions) -> Option<ShrunkFailure> {
     let run = run_seed(seed, opts);
     let job = run.shrinkable_violation()?;
@@ -232,13 +236,13 @@ pub fn shrink_first_violation(seed: u64, opts: &SimOptions) -> Option<ShrunkFail
         .spec
         .clone()
         .expect("shrinkable job has a spec");
-    let min = compgen::minimize(&spec, |case| {
-        run_with_case_override(seed, opts, job, case)
+    let min = compgen::minimize_spec(&spec, |cand| {
+        run_with_case_override(seed, opts, job, cand)
             .violations
             .iter()
             .any(|(j, d)| *j == job && !d.starts_with("error:"))
     });
-    let trace = run.canonical_trace();
+    let trace = run_with_case_override(seed, opts, job, &min).canonical_trace();
     Some(ShrunkFailure {
         seed,
         job,
@@ -313,7 +317,7 @@ fn run_impl(
     seed: u64,
     opts: &SimOptions,
     extra: &[JobSource],
-    override_case: Option<(usize, &compgen::Case)>,
+    override_spec: Option<(usize, &compgen::CaseSpec)>,
 ) -> SimRun {
     let mut rng = XorShift::new(seed);
     let clock = Arc::new(ManualClock::new(0));
@@ -361,10 +365,11 @@ fn run_impl(
     for (id, (source, plan)) in sources.into_iter().zip(plans).enumerate() {
         let (kind, spec, composition, database, property) = match source {
             JobSource::Compgen(s) => {
-                let case = match override_case {
-                    Some((j, c)) if j == id => (*c).clone(),
-                    _ => s.build().expect("drawn sim spec builds"),
+                let s = match override_spec {
+                    Some((j, o)) if j == id => o.clone(),
+                    _ => s,
                 };
+                let case = s.build().expect("sim spec builds");
                 (
                     "compgen".to_string(),
                     Some(s),

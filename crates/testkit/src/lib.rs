@@ -2,14 +2,11 @@
 //!
 //! The workspace builds and tests with **no network access**, so the usual
 //! randomized-testing stack (`proptest`, `rand`) is off the table. This
-//! crate replaces it with two layers, both std-only:
+//! crate replaces it with std-only modules:
 //!
 //! * [`rng`] + [`gen`] — a seeded xorshift64\* PRNG and a tiny, shrink-free
-//!   case-generator API ([`gen::cases`]) for writing new randomized tests;
-//! * [`proptest`] — a drop-in shim covering the slice of the `proptest` API
-//!   the existing `tests/prop.rs` suites use (`proptest!`, strategies with
-//!   `prop_map`/`prop_recursive`/`prop_oneof!`, `prop_assert!`…), so those
-//!   suites keep running offline, behind each crate's `proptest` feature;
+//!   case-generator API ([`gen::cases`]): the one randomized-testing API
+//!   every property suite (each crate's `tests/prop.rs`) is written on;
 //! * [`compgen`] (feature `compgen`, pulls in `ddws-model`) — random small
 //!   compositions and input-bounded properties for differential swarm
 //!   tests (e.g. `Reduction::Ample` vs `Reduction::Full`);
@@ -35,13 +32,12 @@ pub mod contract;
 pub mod faults;
 pub mod gen;
 pub mod mutate;
-pub mod proptest;
 pub mod rng;
 
 /// Derives a stable 64-bit seed from a test name (FNV-1a).
 ///
-/// Used by the [`proptest!`] shim and by [`gen::cases`] callers that want a
-/// per-test stream without inventing seed constants.
+/// Used by [`gen::cases`] callers that want a per-test stream without
+/// inventing seed constants.
 pub fn seed_from(name: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in name.bytes() {

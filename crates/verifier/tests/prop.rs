@@ -1,9 +1,11 @@
-//! Property-based tests of the verifier itself.
+//! Randomized tests of the verifier itself. The fresh-domain and engine
+//! stability check of Theorem 3.4's small-model property lives in the root
+//! package's `tests/small_model.rs`, so that it runs in tier-1.
 
 use ddws_model::{Composition, CompositionBuilder, QueueKind};
 use ddws_relational::{Instance, Tuple};
-use ddws_testkit::proptest::prelude::*;
-use ddws_verifier::{DatabaseMode, Verifier, VerifyOptions};
+use ddws_testkit::{gen, seed_from};
+use ddws_verifier::{DatabaseMode, Outcome, Verifier, VerifyOptions};
 
 fn ping(lossy: bool) -> Composition {
     let mut b = CompositionBuilder::new();
@@ -20,58 +22,50 @@ fn ping(lossy: bool) -> Composition {
     b.build().unwrap()
 }
 
-const HOLDS: &str = "G (forall x: B.?ping(x) -> A.friend(x))";
 const VIOLATED: &str = "G (forall x: B.?ping(x) -> false)";
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+/// All-databases violation implies a fixed-database violation over the
+/// counterexample's own database (the oracle's witness is replayable).
+#[test]
+fn oracle_witness_replays_under_fixed_database() {
+    gen::cases(
+        8,
+        seed_from("oracle_witness_replays_under_fixed_database"),
+        |rng| {
+            let lossy = rng.bool();
+            let mut v = Verifier::new(ping(lossy));
+            let opts = VerifyOptions {
+                fresh_values: Some(2),
+                ..VerifyOptions::default()
+            };
+            let report = v.check_str(VIOLATED, &opts).unwrap();
+            let Outcome::Violated(cex) = report.outcome else {
+                panic!("expected violation (lossy={lossy})");
+            };
+            let replay = v
+                .check_str(
+                    VIOLATED,
+                    &VerifyOptions {
+                        database: DatabaseMode::Fixed(cex.database.clone()),
+                        fresh_values: Some(1),
+                        ..VerifyOptions::default()
+                    },
+                )
+                .unwrap();
+            assert!(
+                !replay.outcome.holds(),
+                "witness database must replay (lossy={lossy})"
+            );
+        },
+    );
+}
 
-    /// Verdicts are stable as the fresh-domain bound grows (the small-model
-    /// property: once large enough, more fresh values change nothing).
-    #[test]
-    fn verdicts_stable_in_fresh_domain(fresh in 1usize..4, lossy in any::<bool>()) {
-        let mut v = Verifier::new(ping(lossy));
-        let opts = VerifyOptions {
-            fresh_values: Some(fresh),
-            ..VerifyOptions::default()
-        };
-        let holds = v.check_str(HOLDS, &opts).unwrap();
-        prop_assert!(holds.outcome.holds());
-        let violated = v.check_str(VIOLATED, &opts).unwrap();
-        prop_assert!(!violated.outcome.holds());
-    }
-
-    /// All-databases violation implies a fixed-database violation over the
-    /// counterexample's own database (the oracle's witness is replayable).
-    #[test]
-    fn oracle_witness_replays_under_fixed_database(lossy in any::<bool>()) {
-        let mut v = Verifier::new(ping(lossy));
-        let opts = VerifyOptions {
-            fresh_values: Some(2),
-            ..VerifyOptions::default()
-        };
-        let report = v.check_str(VIOLATED, &opts).unwrap();
-        let cex = match report.outcome {
-            ddws_verifier::Outcome::Violated(c) => c,
-            _ => return Err(TestCaseError::fail("expected violation")),
-        };
-        let replay = v
-            .check_str(
-                VIOLATED,
-                &VerifyOptions {
-                    database: DatabaseMode::Fixed(cex.database.clone()),
-                    fresh_values: Some(1),
-                    ..VerifyOptions::default()
-                },
-            )
-            .unwrap();
-        prop_assert!(!replay.outcome.holds(), "witness database must replay");
-    }
-
-    /// Fixed-database verdicts are monotone under database growth for the
-    /// violated reachability property: adding friends cannot *unviolate* it.
-    #[test]
-    fn violations_monotone_in_database(n in 1usize..4) {
+/// Fixed-database verdicts are monotone under database growth for the
+/// violated reachability property: adding friends cannot *unviolate* it.
+#[test]
+fn violations_monotone_in_database() {
+    gen::cases(8, seed_from("violations_monotone_in_database"), |rng| {
+        let n = rng.range(1, 4);
         let mut v = Verifier::new(ping(true));
         let mut db = Instance::empty(&v.composition().voc);
         let friend = v.composition().voc.lookup("A.friend").unwrap();
@@ -89,8 +83,8 @@ proptest! {
                 },
             )
             .unwrap();
-        prop_assert!(!report.outcome.holds());
-    }
+        assert!(!report.outcome.holds(), "{n} friends");
+    });
 }
 
 #[test]
@@ -99,8 +93,7 @@ fn open_composition_with_all_databases() {
     // deliver any domain value, so "got only holds database values" is
     // violated regardless of the database.
     use ddws_model::builder::ENV;
-    use ddws_model::QueueKind;
-    let mut b = ddws_model::CompositionBuilder::new();
+    let mut b = CompositionBuilder::new();
     b.default_lossy(true);
     b.channel("resp", 1, QueueKind::Flat, ENV, "P");
     b.peer("P")

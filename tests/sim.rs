@@ -190,12 +190,7 @@ fn injected_verdict_flip_is_caught_and_shrunk_minimal() {
         "shrinking must not grow the spec"
     );
     // The minimized case still violates under the identical schedule.
-    let replay = run_with_case_override(
-        seed,
-        &opts,
-        shrunk.job,
-        &shrunk.min.build().expect("minimal spec builds"),
-    );
+    let replay = run_with_case_override(seed, &opts, shrunk.job, &shrunk.min);
     assert!(
         replay
             .violations
@@ -204,8 +199,8 @@ fn injected_verdict_flip_is_caught_and_shrunk_minimal() {
         "minimized spec no longer reproduces the violation"
     );
     // 1-minimality: minimizing the minimum changes nothing.
-    let again = compgen::minimize(&shrunk.min, |case| {
-        run_with_case_override(seed, &opts, shrunk.job, case)
+    let again = compgen::minimize_spec(&shrunk.min, |cand| {
+        run_with_case_override(seed, &opts, shrunk.job, cand)
             .violations
             .iter()
             .any(|(j, d)| *j == shrunk.job && !d.starts_with("error:"))
