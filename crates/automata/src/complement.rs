@@ -16,7 +16,7 @@
 
 use crate::guard::{all_letters, Guard, Letter};
 use crate::nba::{Nba, StateId};
-use std::collections::HashMap;
+use ddws_relational::hash::FxHashMap;
 
 /// An exact-letter guard: admits `letter` and nothing else.
 fn letter_guard(letter: Letter, num_aps: u32) -> Guard {
@@ -126,11 +126,11 @@ pub fn complement(nba: &Nba) -> Nba {
     }
 
     let mut out = Nba::new(nba.num_aps, 0);
-    let mut ids: HashMap<KvState, StateId> = HashMap::new();
+    let mut ids: FxHashMap<KvState, StateId> = FxHashMap::default();
     let mut worklist: Vec<KvState> = Vec::new();
 
     fn intern(
-        ids: &mut HashMap<KvState, StateId>,
+        ids: &mut FxHashMap<KvState, StateId>,
         s: KvState,
         out: &mut Nba,
         wl: &mut Vec<KvState>,

@@ -11,8 +11,9 @@
 //! automaton without materializing either.
 
 use crate::limits::{payload_string, EngineCheckpoint, Interrupted, LimitedResult, SearchLimits};
+use ddws_relational::hash::{FxHashMap, FxHashSet};
 use ddws_telemetry::{AbortReason, EngineTelemetry};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::hash::Hash;
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
@@ -189,12 +190,12 @@ fn drive_seq_engine<TS: TransitionSystem>(
 /// [`resume_accepting_lasso_with`](crate::limits::resume_accepting_lasso_with).
 #[derive(Clone, Debug)]
 pub struct SeqCheckpoint<S> {
-    blue: HashSet<S>,
-    red: HashSet<S>,
+    blue: FxHashSet<S>,
+    red: FxHashSet<S>,
     /// `(state, memoized expansion, next successor index)` per DFS frame.
     stack: Vec<(S, Arc<[S]>, usize)>,
     pending_inits: VecDeque<S>,
-    expansions: HashMap<S, Arc<[S]>>,
+    expansions: FxHashMap<S, Arc<[S]>>,
     stats: SearchStats,
 }
 
@@ -215,8 +216,8 @@ struct Frame<S> {
 /// still leaves the partial statistics readable.
 struct SeqEngine<'ts, TS: TransitionSystem> {
     ts: &'ts TS,
-    blue: HashSet<TS::State>,
-    red: HashSet<TS::State>,
+    blue: FxHashSet<TS::State>,
+    red: FxHashSet<TS::State>,
     stack: Vec<Frame<TS::State>>,
     pending_inits: VecDeque<TS::State>,
     reducer: Reducer<TS>,
@@ -232,8 +233,8 @@ impl<'ts, TS: TransitionSystem> SeqEngine<'ts, TS> {
     fn fresh(ts: &'ts TS) -> Self {
         SeqEngine {
             ts,
-            blue: HashSet::new(),
-            red: HashSet::new(),
+            blue: FxHashSet::default(),
+            red: FxHashSet::default(),
             stack: Vec::new(),
             pending_inits: ts.initial_states().into(),
             reducer: Reducer::new(ts.reduction_active()),
@@ -285,11 +286,11 @@ impl<'ts, TS: TransitionSystem> SeqEngine<'ts, TS> {
         }
     }
 
-    /// Marks `state` blue-visited and pushes its (possibly reduced,
+    /// Counts the freshly blue-admitted `state` (the caller's `insert`
+    /// into `blue` returned true) and pushes its (possibly reduced,
     /// memoized) expansion; fires the fault hook with the expansion
     /// ordinal first.
     fn visit(&mut self, state: TS::State, limits: &SearchLimits) {
-        self.blue.insert(state.clone());
         self.stats.states_visited += 1;
         self.fault_tick += 1;
         if let Some(hook) = &limits.fault {
@@ -325,7 +326,7 @@ impl<'ts, TS: TransitionSystem> SeqEngine<'ts, TS> {
                 let Some(init) = self.pending_inits.pop_front() else {
                     return Ok(None);
                 };
-                if !self.blue.contains(&init) {
+                if self.blue.insert(init.clone()) {
                     self.visit(init, limits);
                 }
                 continue;
@@ -342,7 +343,7 @@ impl<'ts, TS: TransitionSystem> SeqEngine<'ts, TS> {
             };
             if let Some(succ) = next_succ {
                 self.stats.transitions_explored += 1;
-                if !self.blue.contains(&succ) {
+                if self.blue.insert(succ.clone()) {
                     self.visit(succ, limits);
                     if self.stats.states_visited & PROGRESS_STRIDE_MASK == 0 {
                         tel.maybe_emit(
@@ -401,16 +402,16 @@ impl<'ts, TS: TransitionSystem> SeqEngine<'ts, TS> {
 /// not apply there, and full expansions are always sound.
 struct Reducer<TS: TransitionSystem> {
     active: bool,
-    on_stack: HashSet<TS::State>,
-    expansions: HashMap<TS::State, Arc<[TS::State]>>,
+    on_stack: FxHashSet<TS::State>,
+    expansions: FxHashMap<TS::State, Arc<[TS::State]>>,
 }
 
 impl<TS: TransitionSystem> Reducer<TS> {
     fn new(active: bool) -> Self {
         Reducer {
             active,
-            on_stack: HashSet::new(),
-            expansions: HashMap::new(),
+            on_stack: FxHashSet::default(),
+            expansions: FxHashMap::default(),
         }
     }
 
@@ -484,7 +485,7 @@ impl<TS: TransitionSystem> Reducer<TS> {
 fn red_search<TS: TransitionSystem>(
     ts: &TS,
     seed: &TS::State,
-    red: &mut HashSet<TS::State>,
+    red: &mut FxHashSet<TS::State>,
     reducer: &mut Reducer<TS>,
     stats: &mut SearchStats,
 ) -> Option<Vec<TS::State>> {
@@ -493,13 +494,12 @@ fn red_search<TS: TransitionSystem>(
         succs: Arc<[S]>,
         next: usize,
     }
-    if red.contains(seed) {
+    if !red.insert(seed.clone()) {
         // A previous inner search already explored `seed` without closing a
         // cycle through an accepting seed; by the CVWY invariant no cycle
         // through `seed` exists either.
         return None;
     }
-    red.insert(seed.clone());
     let mut stack: Vec<Frame<TS::State>> = vec![Frame {
         succs: reducer.expand_red(ts, seed, stats),
         state: seed.clone(),
@@ -514,8 +514,7 @@ fn red_search<TS: TransitionSystem>(
                 // Cycle closed: the red stack spells seed → … → top.
                 return Some(stack.iter().map(|f| f.state.clone()).collect());
             }
-            if !red.contains(&succ) {
-                red.insert(succ.clone());
+            if red.insert(succ.clone()) {
                 stack.push(Frame {
                     succs: reducer.expand_red(ts, &succ, stats),
                     state: succ,

@@ -33,10 +33,11 @@
 
 use crate::emptiness::{Lasso, SearchStats, TransitionSystem, PROGRESS_STRIDE_MASK};
 use crate::limits::{payload_string, EngineCheckpoint, Interrupted, LimitedResult, SearchLimits};
+use ddws_relational::hash::{self, FxHashMap, FxHashSet};
 use ddws_telemetry::{AbortReason, EngineTelemetry};
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::collections::VecDeque;
+use std::hash::Hash;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -49,13 +50,6 @@ use crate::emptiness::find_accepting_lasso_limits_with;
 /// shard collisions between concurrent inserts stay rare.
 const VISIT_SHARDS: usize = 64;
 
-fn shard_of<S: Hash>(s: &S) -> usize {
-    // Keyless hasher: shard layout must not depend on process entropy.
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    s.hash(&mut h);
-    (h.finish() as usize) & (VISIT_SHARDS - 1)
-}
-
 /// Recovers a poisoned lock: a panicking worker may die while holding a
 /// shard or queue lock, and the surviving workers must still be able to
 /// drain and merge — the guarded structures stay structurally valid.
@@ -64,7 +58,7 @@ fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 struct Frontier<S> {
-    visited: Vec<Mutex<HashSet<S>>>,
+    visited: Vec<Mutex<FxHashSet<S>>>,
     queues: Vec<Mutex<VecDeque<S>>>,
     /// States enqueued or being expanded; 0 ⇒ exploration is complete.
     pending: AtomicUsize,
@@ -107,7 +101,7 @@ impl<S: Clone + Eq + Hash> Frontier<S> {
     /// flag when the visited count passes `max_states` (mirroring the
     /// sequential engine's `states_visited > max_states` check).
     fn try_visit(&self, s: &S) -> bool {
-        let mut shard = relock(&self.visited[shard_of(s)]);
+        let mut shard = relock(&self.visited[hash::shard_of(s, VISIT_SHARDS)]);
         if !shard.insert(s.clone()) {
             return false;
         }
@@ -135,7 +129,7 @@ impl<S: Clone + Eq + Hash> Frontier<S> {
     /// visited and falls back to a full expansion — every cycle therefore
     /// contains a fully expanded node, which is exactly the cycle proviso.
     fn already_visited(&self, s: &S) -> bool {
-        relock(&self.visited[shard_of(s)]).contains(s)
+        relock(&self.visited[hash::shard_of(s, VISIT_SHARDS)]).contains(s)
     }
 
     /// Pops local work, or steals from another worker (oldest first, so
@@ -349,9 +343,9 @@ pub(crate) fn resume_par<TS: TransitionSystem>(
         .visited_count
         .store(cp.visited.len() as u64, Ordering::Relaxed);
     for s in &cp.visited {
-        relock(&frontier.visited[shard_of(s)]).insert(s.clone());
+        relock(&frontier.visited[hash::shard_of(s, VISIT_SHARDS)]).insert(s.clone());
     }
-    let expanded: HashSet<&TS::State> = cp.edges.iter().map(|(src, _)| src).collect();
+    let expanded: FxHashSet<&TS::State> = cp.edges.iter().map(|(src, _)| src).collect();
     let mut next_queue = 0usize;
     for s in &cp.visited {
         if !expanded.contains(s) {
@@ -467,10 +461,10 @@ fn run_exploration<TS: TransitionSystem>(
 
     // ---- Sequential analysis over the materialized graph. ----
     let analysis_start = Instant::now();
-    let mut index: HashMap<TS::State, usize> = HashMap::new();
+    let mut index: FxHashMap<TS::State, usize> = FxHashMap::default();
     let mut nodes: Vec<TS::State> = Vec::new();
     let intern =
-        |s: &TS::State, nodes: &mut Vec<TS::State>, index: &mut HashMap<TS::State, usize>| {
+        |s: &TS::State, nodes: &mut Vec<TS::State>, index: &mut FxHashMap<TS::State, usize>| {
             *index.entry(s.clone()).or_insert_with(|| {
                 nodes.push(s.clone());
                 nodes.len() - 1
@@ -541,7 +535,7 @@ fn find_accepting_cycle(adj: &[Vec<usize>], accepting: &[bool]) -> Option<(usize
         };
         // Shortest cycle through `seed`, staying inside its component.
         let ci = comp_of[seed];
-        let mut back: HashMap<usize, usize> = HashMap::new();
+        let mut back: FxHashMap<usize, usize> = FxHashMap::default();
         let mut queue = VecDeque::new();
         for &t in &adj[seed] {
             if comp_of[t] == ci && !back.contains_key(&t) {
@@ -581,7 +575,7 @@ fn shortest_path_from_any(
     sources: &[usize],
     target: usize,
 ) -> Option<Vec<usize>> {
-    let mut back: HashMap<usize, Option<usize>> = HashMap::new();
+    let mut back: FxHashMap<usize, Option<usize>> = FxHashMap::default();
     let mut queue = VecDeque::new();
     for &s in sources {
         if let Entry::Vacant(e) = back.entry(s) {

@@ -11,20 +11,21 @@ use crate::guard::Guard;
 use crate::limits::SearchLimits;
 use crate::ltl::Ltl;
 use crate::nba::{Nba, StateId};
+use ddws_relational::hash::FxHashMap;
 use ddws_telemetry::AbortReason;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// Interned subformulas for cheap set operations inside tableau nodes.
 struct Arena {
     formulas: Vec<Ltl>,
-    ids: HashMap<Ltl, usize>,
+    ids: FxHashMap<Ltl, usize>,
 }
 
 impl Arena {
     fn new() -> Self {
         Arena {
             formulas: Vec::new(),
-            ids: HashMap::new(),
+            ids: FxHashMap::default(),
         }
     }
 
@@ -79,7 +80,7 @@ pub fn ltl_to_nba_limits(formula: &Ltl, limits: &SearchLimits) -> Result<Nba, Ab
 
     let mut states: Vec<TableauState> = Vec::new();
     // Each state's (old, next) signature, for the saturated-node merge.
-    let mut state_ids: HashMap<(BTreeSet<usize>, BTreeSet<usize>), usize> = HashMap::new();
+    let mut state_ids: FxHashMap<(BTreeSet<usize>, BTreeSet<usize>), usize> = FxHashMap::default();
     // The classical `expand` is recursive; a worklist of pending nodes keeps
     // it iterative (the order of expansion does not matter — duplicate
     // saturated nodes merge by their (old, next) signature).
@@ -283,7 +284,7 @@ fn build_nba(arena: &Arena, states: &[TableauState], num_aps: u32) -> Nba {
     let init = nba.add_state(false);
     nba.add_initial(init);
 
-    let mut ids: HashMap<(usize, usize), StateId> = HashMap::new();
+    let mut ids: FxHashMap<(usize, usize), StateId> = FxHashMap::default();
     for (q, _) in states.iter().enumerate() {
         for c in 0..=k {
             let id = nba.add_state(c == k);

@@ -27,8 +27,8 @@
 use crate::composition::{Composition, PeerId};
 use crate::view::{EvalView, ReadSlot};
 use ddws_logic::{compile_rule, eval_plan, satisfying_valuations, Fo, Plan, VarId};
+use ddws_relational::hash::FxHashMap;
 use ddws_relational::Value;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
@@ -144,7 +144,7 @@ type Extension = Arc<Vec<Vec<Value>>>;
 /// they are part of the key).
 #[derive(Debug, Default)]
 pub struct RuleCache {
-    rules: Vec<RwLock<HashMap<Vec<ReadSlot>, Extension>>>,
+    rules: Vec<RwLock<FxHashMap<Vec<ReadSlot>, Extension>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evals: AtomicU64,

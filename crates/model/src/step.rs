@@ -28,9 +28,9 @@ use crate::composition::{Composition, Mover, Peer, PeerId, QueueKind};
 use crate::config::{Config, Message};
 use crate::plan::{EvalCtx, RuleRef};
 use crate::view::{Database, RuleView};
+use ddws_relational::hash::{fx_hash, FxHashMap};
 use ddws_relational::{Relation, Tuple, Value};
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 
 /// A pending send resolved during branching.
 #[derive(Clone, Debug)]
@@ -499,12 +499,11 @@ pub(crate) fn dedup_preserving_order<T: Hash + Eq>(items: Vec<T>) -> Vec<T> {
     if items.len() <= 1 {
         return items;
     }
-    let mut by_fp: HashMap<u64, Vec<usize>> = HashMap::with_capacity(items.len());
+    let mut by_fp: FxHashMap<u64, Vec<usize>> =
+        FxHashMap::with_capacity_and_hasher(items.len(), Default::default());
     let mut out: Vec<T> = Vec::with_capacity(items.len());
     for item in items {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        item.hash(&mut h);
-        let kept = by_fp.entry(h.finish()).or_default();
+        let kept = by_fp.entry(fx_hash(&item)).or_default();
         if kept.iter().any(|&i| out[i] == item) {
             continue;
         }

@@ -21,11 +21,10 @@
 //! meters hits/misses for the telemetry invariants (`hits + misses ==
 //! calls` at any quiescent point).
 
+use crate::hash::{self, FxHashMap};
 use crate::tuple::Tuple;
 use crate::value::Value;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -215,22 +214,16 @@ pub fn codes_apply_update(old: &[u64], ins: &[u64], del: &[u64]) -> Vec<u64> {
 const SHARD_BITS: u32 = 4;
 const SHARDS: usize = 1 << SHARD_BITS;
 
-fn shard_of<T: Hash>(item: &T) -> usize {
-    let mut h = DefaultHasher::new();
-    item.hash(&mut h);
-    (h.finish() as usize) & (SHARDS - 1)
-}
-
 struct Shard<T> {
     items: Vec<Arc<T>>,
-    ids: HashMap<Arc<T>, u32>,
+    ids: FxHashMap<Arc<T>, u32>,
 }
 
 impl<T> Default for Shard<T> {
     fn default() -> Self {
         Shard {
             items: Vec::new(),
-            ids: HashMap::new(),
+            ids: FxHashMap::default(),
         }
     }
 }
@@ -266,7 +259,7 @@ impl<T: Hash + Eq> Interner<T> {
     /// another thread interned it between the read and write probes) or
     /// one miss (a fresh entry) per call.
     pub fn intern(&self, item: T) -> u32 {
-        let sh = shard_of(&item);
+        let sh = hash::shard_of(&item, SHARDS);
         {
             let shard = self.shards[sh].read().expect("interner shard poisoned");
             if let Some(&id) = shard.ids.get(&item) {

@@ -14,7 +14,9 @@
 //! * [`Vocabulary`] / [`RelId`] — a registry of relation names and arities,
 //! * [`Instance`] — a relational structure over a vocabulary,
 //! * active-domain computation, the basis of active-domain quantification
-//!   in the logic layer.
+//!   in the logic layer,
+//! * [`hash`] — the keyless [`FxHasher`](hash::FxHasher) the search's
+//!   id-keyed tables hash with.
 //!
 //! Canonical representations are load-bearing: verification hashes millions
 //! of configurations, so equal instances must be structurally identical.
@@ -22,6 +24,7 @@
 //! [`RelId`], which makes `Hash`/`Eq` on configurations sound and cheap.
 
 #![warn(missing_docs)]
+pub mod hash;
 pub mod instance;
 pub mod intern;
 pub mod relation;

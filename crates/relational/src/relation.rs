@@ -167,13 +167,7 @@ mod tests {
         let a = Relation::from_tuples(vec![t(&[1]), t(&[2]), t(&[3])]);
         let b = Relation::from_tuples(vec![t(&[3]), t(&[1]), t(&[2])]);
         assert_eq!(a, b);
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let mut ha = DefaultHasher::new();
-        let mut hb = DefaultHasher::new();
-        a.hash(&mut ha);
-        b.hash(&mut hb);
-        assert_eq!(ha.finish(), hb.finish());
+        assert_eq!(crate::hash::fx_hash(&a), crate::hash::fx_hash(&b));
     }
 
     #[test]

@@ -10,6 +10,7 @@ use ddws_automata::{Letter, Ltl};
 use ddws_logic::{Fo, LtlFo, Valuation, VarId};
 use ddws_model::Config;
 use ddws_model::{Composition, Database, Mover, SnapshotView};
+use ddws_relational::hash::FxHashMap;
 use ddws_relational::Value;
 use std::collections::HashMap;
 
@@ -18,7 +19,7 @@ use std::collections::HashMap;
 #[derive(Debug, Default)]
 pub struct AtomRegistry {
     atoms: Vec<Fo>,
-    index: HashMap<Fo, u32>,
+    index: FxHashMap<Fo, u32>,
 }
 
 impl AtomRegistry {

@@ -10,15 +10,15 @@
 //! Büchi acceptance sound.
 
 use ddws_model::Database;
+use ddws_relational::hash::FxHashMap;
 use ddws_relational::{Instance, RelId, Tuple, Value, Vocabulary};
 use std::cell::Cell;
-use std::collections::HashMap;
 
 /// The finite universe of database facts over the verification domain.
 #[derive(Clone, Debug, Default)]
 pub struct FactUniverse {
     facts: Vec<(RelId, Tuple)>,
-    index: HashMap<(RelId, Tuple), usize>,
+    index: FxHashMap<(RelId, Tuple), usize>,
 }
 
 impl FactUniverse {

@@ -39,11 +39,10 @@ use ddws_model::{
     CompactConfig, CompactView, CompiledRules, Composition, Config, EvalCtx, IndependenceOracle,
     Mover, RuleCache, StatePool, ValueClasses, ValuePerm,
 };
+use ddws_relational::hash::{self, FxHashMap};
 use ddws_relational::{Instance, Interner, Value};
 use ddws_telemetry::{RuleMeterSource, SearchStats};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
@@ -76,11 +75,11 @@ pub enum PState {
 /// on sequential runs.
 const SHARDS: usize = 16;
 
-/// A sharded `HashMap` cache; values are cloned out under a read lock.
+/// A sharded [`FxHashMap`] cache; values are cloned out under a read lock.
 /// Callers store ids or `Arc`-wrapped successor sets (`Arc<[u32]>`), so
 /// the clone is a refcount bump, never a deep copy of the cached step.
 struct ShardedMap<K, V> {
-    shards: Vec<RwLock<HashMap<K, V>>>,
+    shards: Vec<RwLock<FxHashMap<K, V>>>,
 }
 
 impl<K, V> Default for ShardedMap<K, V> {
@@ -92,12 +91,10 @@ impl<K, V> Default for ShardedMap<K, V> {
 }
 
 impl<K: Hash + Eq, V: Clone> ShardedMap<K, V> {
-    /// The shard holding `key` (`DefaultHasher::new()` is keyless, unlike
-    /// `RandomState`, so the layout is stable across runs).
-    fn shard(&self, key: &K) -> &RwLock<HashMap<K, V>> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[h.finish() as usize % SHARDS]
+    /// The shard holding `key` (the hasher is keyless, so the layout is
+    /// stable across runs).
+    fn shard(&self, key: &K) -> &RwLock<FxHashMap<K, V>> {
+        &self.shards[hash::shard_of(key, SHARDS)]
     }
 
     fn get(&self, key: &K) -> Option<V> {

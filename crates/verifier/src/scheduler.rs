@@ -49,6 +49,7 @@ use crate::product::PState;
 use crate::verify::VerifyOptions;
 use ddws_automata::{ltl_to_nba_limits, EngineCheckpoint, Ltl, Nba, SearchLimits};
 use ddws_logic::VarId;
+use ddws_relational::hash::FxHashMap;
 use ddws_relational::Value;
 use ddws_telemetry::{AbortReason, CancelToken, SearchStats};
 use std::collections::{HashMap, VecDeque};
@@ -121,7 +122,7 @@ pub(crate) fn deterministic_mode(opts: &VerifyOptions) -> bool {
 /// one shape block until the first finishes — the miss count therefore
 /// equals the number of distinct shapes, independent of schedule.
 pub(crate) struct NbaCache {
-    map: Mutex<HashMap<Ltl, std::sync::Arc<Nba>>>,
+    map: Mutex<FxHashMap<Ltl, std::sync::Arc<Nba>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     ns: AtomicU64,
@@ -130,7 +131,7 @@ pub(crate) struct NbaCache {
 impl NbaCache {
     pub(crate) fn new() -> NbaCache {
         NbaCache {
-            map: Mutex::new(HashMap::new()),
+            map: Mutex::new(FxHashMap::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             ns: AtomicU64::new(0),
