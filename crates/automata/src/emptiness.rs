@@ -10,9 +10,9 @@
 //! it directly on the on-the-fly product of a composition with a property
 //! automaton without materializing either.
 
-use crate::limits::{payload_string, EngineCheckpoint, Interrupted, LimitedResult, SearchLimits};
+use crate::limits::{EngineCheckpoint, Interrupted, LimitedResult, SearchLimits};
 use ddws_relational::hash::{FxHashMap, FxHashSet};
-use ddws_telemetry::{AbortReason, EngineTelemetry};
+use ddws_telemetry::{panic_message, AbortReason, EngineTelemetry, SearchStats};
 use std::collections::VecDeque;
 use std::hash::Hash;
 use std::panic::AssertUnwindSafe;
@@ -96,13 +96,6 @@ pub struct Lasso<S> {
     pub cycle: Vec<S>,
 }
 
-/// Exploration statistics, reported by the verifier.
-///
-/// Compatibility shim: the struct now lives in `ddws-telemetry` (where the
-/// shard/valuation merge `absorb` is defined once); this re-export keeps
-/// every existing `ddws_automata::SearchStats` path working.
-pub use ddws_telemetry::SearchStats;
-
 /// Searches for an accepting lasso; `None` means the language is empty.
 pub fn find_accepting_lasso<TS: TransitionSystem>(ts: &TS) -> Option<Lasso<TS::State>> {
     match find_accepting_lasso_limits_with(
@@ -176,7 +169,7 @@ fn drive_seq_engine<TS: TransitionSystem>(
             Err(Box::new(Interrupted {
                 reason: AbortReason::WorkerPanicked {
                     worker: 0,
-                    payload: payload_string(payload),
+                    payload: panic_message(&*payload),
                 },
                 stats,
                 checkpoint: None,

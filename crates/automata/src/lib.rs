@@ -39,8 +39,8 @@ pub mod parallel;
 pub mod translate;
 
 pub use emptiness::{
-    find_accepting_lasso, find_accepting_lasso_limits_with, Expansion, Lasso, SearchStats,
-    SeqCheckpoint, TransitionSystem,
+    find_accepting_lasso, find_accepting_lasso_limits_with, Expansion, Lasso, SeqCheckpoint,
+    TransitionSystem,
 };
 pub use guard::{Guard, Letter};
 pub use limits::{

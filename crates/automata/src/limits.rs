@@ -10,11 +10,9 @@
 //! budget- or deadline-truncated run with laxer limits reaches the same
 //! verdict a fresh unbounded run would.
 
-use crate::emptiness::{
-    resume_seq, Lasso, SearchStats, SeqCheckpoint, TransitionSystem, PROGRESS_STRIDE_MASK,
-};
+use crate::emptiness::{resume_seq, Lasso, SeqCheckpoint, TransitionSystem, PROGRESS_STRIDE_MASK};
 use crate::parallel::{resume_par, ParCheckpoint};
-use ddws_telemetry::{AbortReason, CancelToken, EngineTelemetry, FaultHook};
+use ddws_telemetry::{AbortReason, CancelToken, EngineTelemetry, FaultHook, SearchStats};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -255,17 +253,6 @@ pub fn resume_accepting_lasso_with<TS: TransitionSystem>(
     match checkpoint {
         EngineCheckpoint::Seq(cp) => resume_seq(ts, cp, limits, tel),
         EngineCheckpoint::Par(cp) => resume_par(ts, cp, limits, tel),
-    }
-}
-
-/// Stringifies a panic payload for [`AbortReason::WorkerPanicked`].
-pub(crate) fn payload_string(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

@@ -31,10 +31,10 @@
 //! reachable graph before looking for lassos, so a `Violated` verdict
 //! requires a budget no smaller than the reachable state count.
 
-use crate::emptiness::{Lasso, SearchStats, TransitionSystem, PROGRESS_STRIDE_MASK};
-use crate::limits::{payload_string, EngineCheckpoint, Interrupted, LimitedResult, SearchLimits};
+use crate::emptiness::{Lasso, TransitionSystem, PROGRESS_STRIDE_MASK};
+use crate::limits::{EngineCheckpoint, Interrupted, LimitedResult, SearchLimits};
 use ddws_relational::hash::{self, FxHashMap, FxHashSet};
-use ddws_telemetry::{AbortReason, EngineTelemetry};
+use ddws_telemetry::{panic_message, AbortReason, EngineTelemetry, SearchStats};
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::hash::Hash;
@@ -386,7 +386,7 @@ fn run_exploration<TS: TransitionSystem>(
         if let Err(payload) = std::panic::catch_unwind(body) {
             frontier.trip(AbortReason::WorkerPanicked {
                 worker: w,
-                payload: payload_string(payload),
+                payload: panic_message(&*payload),
             });
         }
     };
@@ -413,7 +413,7 @@ fn run_exploration<TS: TransitionSystem>(
                     // own panics), but never let a join kill the process.
                     Err(payload) => frontier.trip(AbortReason::WorkerPanicked {
                         worker: w,
-                        payload: payload_string(payload),
+                        payload: panic_message(&*payload),
                     }),
                 }
             }

@@ -1,14 +1,12 @@
 //! E11: telemetry overhead — the rule-dense E10 workload re-measured under
-//! three reporter configurations:
+//! two reporter configurations:
 //!
 //! * `off`: [`Silent`] reporter with the progress gate disabled
 //!   (`progress_interval: None`) — the pre-telemetry hot path: counters
 //!   are worker-local and no gate is ever consulted;
 //! * `silent`: the shipping default — [`Silent`] reporter behind the 1 s
 //!   progress gate. The hot-path cost is one coarse stride mask plus a
-//!   relaxed atomic load per ~1024 expansions;
-//! * `jsonl`: a [`JsonLinesReporter`] draining to [`std::io::sink`] with a
-//!   50 ms gate — the full emission cost with snapshots actually rendered.
+//!   relaxed atomic load per ~1024 expansions.
 //!
 //! The acceptance bar (DESIGN.md §3.9): the `silent` default costs at most
 //! 5% wall time over `off` on the rule-dense scenario, on both engines.
@@ -19,13 +17,8 @@
 
 use ddws::scenarios::chains;
 use ddws_bench::artifact::{self, cell, fixed, Artifact, Object};
-use ddws_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ddws_model::Semantics;
-use ddws_verifier::{
-    DatabaseMode, JsonLinesReporter, Report, ReporterHandle, Verifier, VerifyOptions,
-};
-use std::sync::Arc;
-use std::time::Duration;
+use ddws_verifier::{DatabaseMode, Report, Verifier, VerifyOptions};
 
 const ENGINES: [(&str, Option<usize>, Option<usize>); 3] = [
     ("seq", None, None),
@@ -47,7 +40,6 @@ const NOISE_NS: u128 = 10_000_000;
 enum Config {
     Off,
     Silent,
-    JsonLines,
 }
 
 fn options(
@@ -63,15 +55,8 @@ fn options(
         valuation_threads,
         ..VerifyOptions::default()
     };
-    match config {
-        Config::Off => opts.progress_interval = None,
-        Config::Silent => {}
-        Config::JsonLines => {
-            opts.reporter = ReporterHandle::new(Arc::new(JsonLinesReporter::to_writer(Box::new(
-                std::io::sink(),
-            ))));
-            opts.progress_interval = Some(Duration::from_millis(50));
-        }
+    if config == Config::Off {
+        opts.progress_interval = None;
     }
     opts
 }
@@ -98,34 +83,9 @@ fn check_rule_dense(
     report
 }
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("e11_telemetry_overhead");
-    group.sample_size(10);
-
-    for (engine, threads, vt) in ENGINES {
-        for (label, config) in [
-            ("off", Config::Off),
-            ("silent", Config::Silent),
-            ("jsonl", Config::JsonLines),
-        ] {
-            group.bench_with_input(
-                BenchmarkId::new("rule_dense_holds", format!("{engine}/{label}")),
-                &(threads, vt, config),
-                |b, &(threads, vt, config)| {
-                    b.iter(|| check_rule_dense(threads, vt, config).stats.states_visited)
-                },
-            );
-        }
-    }
-
-    group.finish();
-
-    acceptance();
-}
-
-/// The E11 acceptance bar, measured once outside the timing loops with
-/// `off`/`silent` samples interleaved.
-fn acceptance() {
+/// The E11 acceptance bar, measured with `off`/`silent` samples
+/// interleaved.
+fn main() {
     let samples = artifact::samples(5);
     let mut engines = Object::new();
     for (engine, threads, vt) in ENGINES {
@@ -168,6 +128,3 @@ fn acceptance() {
         .field("engines", engines)
         .write();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -27,9 +27,8 @@
 //! class and these cells measure the representation on the full,
 //! state-heavy search (133,246 states for `e8_nested_chain_seq`).
 //!
-//! After the timing groups (run at reduced scale so the harness stays
-//! fast), the acceptance pass measures every workload at full scale under
-//! both representations, asserts the legacy-oracle differential on every
+//! The acceptance pass measures every workload under both
+//! representations, asserts the legacy-oracle differential on every
 //! cell (equal verdict and `states_visited` — the bench *fails* rather
 //! than skipping the oracle), asserts the aggregate `total_ns` speedup
 //! bar (≥5× at full scale, ≥2× in the `DDWS_BENCH_SMOKE=1` CI
@@ -43,7 +42,6 @@
 
 use ddws::scenarios::chains;
 use ddws_bench::artifact::{self, fixed, Artifact, Object};
-use ddws_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ddws_model::Composition;
 use ddws_relational::Instance;
 use ddws_verifier::{
@@ -135,33 +133,11 @@ fn check(w: &Workload, state_repr: StateRepr, twin: bool) -> Report {
     report
 }
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("e13_state_repr");
-    group.sample_size(10);
-
-    // Timing groups run the suite at smoke scale: the harness lines are
-    // for relative comparison; the full-scale numbers the acceptance bar
-    // is held to land in BENCH_E13.json.
-    for w in workloads(true) {
-        for (repr_name, state_repr) in REPRS {
-            group.bench_with_input(
-                BenchmarkId::new(w.name, repr_name),
-                &state_repr,
-                |b, &state_repr| b.iter(|| check(&w, state_repr, true).stats.states_visited),
-            );
-        }
-    }
-
-    group.finish();
-
-    acceptance();
-}
-
 /// The E13 acceptance bar. Every cell runs under both representations —
 /// the legacy oracle is the differential, not an option — and the
 /// aggregate `total_ns` speedup must clear the bar: ≥5× at full scale,
 /// ≥2× at the reduced smoke scale CI runs (`DDWS_BENCH_SMOKE=1`).
-fn acceptance() {
+fn main() {
     let smoke = artifact::smoke();
     let bar = if smoke { 2.0 } else { 5.0 };
     let samples = artifact::samples(3);
@@ -336,6 +312,3 @@ fn acceptance() {
         )
         .write();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -14,7 +14,7 @@
 //! targets — and every grounded formula shares one atom-shape, so the
 //! NBA cache translates once and hits `N-1` of `N` lookups.
 //!
-//! After the timing groups, the acceptance pass measures each workload
+//! The acceptance pass measures each workload
 //! under both shard counts, asserts the determinism differential on
 //! every cell (equal verdict and `states_visited` — sharding must not
 //! change what is explored), asserts the ≥90% NBA-cache hit rate, and
@@ -27,7 +27,6 @@
 
 use ddws::scenarios::chains;
 use ddws_bench::artifact::{self, fixed, Artifact, Object};
-use ddws_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ddws_model::Composition;
 use ddws_relational::Instance;
 use ddws_telemetry::Json;
@@ -102,25 +101,6 @@ fn check(w: &Workload, valuation_threads: usize) -> Report {
     report
 }
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("e14_valuation_shard");
-    group.sample_size(10);
-
-    for w in workloads(true) {
-        for vt in [1usize, 2, 4] {
-            group.bench_with_input(
-                BenchmarkId::new(w.name, format!("vt{vt}")),
-                &vt,
-                |b, &vt| b.iter(|| check(&w, vt).stats.states_visited),
-            );
-        }
-    }
-
-    group.finish();
-
-    acceptance();
-}
-
 /// The E14 acceptance bar. Every cell runs under both shard counts —
 /// the `vt1` run is the determinism oracle, not an option — the NBA
 /// cache must hit ≥90%, and on hosts with ≥4 cores the aggregate
@@ -128,7 +108,7 @@ fn bench(c: &mut Criterion) {
 /// scale. On smaller hosts the sharded totals are held to a
 /// no-regression bound instead (the scheduler must not cost wall-clock
 /// when it cannot win any).
-fn acceptance() {
+fn main() {
     let smoke = artifact::smoke();
     let bar = if smoke { 1.5 } else { 3.0 };
     let samples = artifact::samples(3);
@@ -276,6 +256,3 @@ fn acceptance() {
         )
         .write();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

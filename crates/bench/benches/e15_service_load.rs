@@ -15,7 +15,6 @@
 //! served job that searched.
 
 use ddws_bench::artifact::{self, fixed, percentile, Artifact, Object};
-use ddws_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ddws_server::{
     decode_response, encode_request, ErrorCode, JobOptions, JobSpec, Request, Response, Server,
     ServerConfig,
@@ -206,35 +205,10 @@ fn run_cell(cell: &Cell, workers: usize, seed: u64) -> CellRun {
     }
 }
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("e15_service_load");
-    group.sample_size(10);
-
-    // The timing group measures the service's fixed costs: one wire
-    // round-trip (framing + dispatch + admission reject on a bad job
-    // id), and one whole job end to end on the smallest scenario.
-    let server = Server::new(ServerConfig::default());
-    group.bench_with_input(BenchmarkId::new("wire", "status_unknown"), &(), |b, ()| {
-        b.iter(|| call(&server, 5, &Request::JobStatus { job: 9_999 }))
-    });
-    let served = Arc::new(Server::new(ServerConfig {
-        quantum_states: 1_024,
-        ..ServerConfig::default()
-    }));
-    let pool = served.run_workers(1);
-    group.bench_with_input(BenchmarkId::new("job", "req_resp_e2e"), &(), |b, ()| {
-        b.iter(|| run_job(&served, JobSpec::Scenario("req_resp".to_string())).2)
-    });
-    group.finish();
-    pool.shutdown();
-
-    acceptance();
-}
-
 /// The E15 acceptance bar: every cell completes all jobs; the starver
 /// ends `budget_exceeded` without sinking fleet throughput below the
 /// floor; jobs/sec + p50/p99 land in `BENCH_E15.json`.
-fn acceptance() {
+fn main() {
     let smoke = artifact::smoke();
     let samples = artifact::samples(3);
     let workers = artifact::cores().clamp(1, 4);
@@ -334,6 +308,3 @@ fn acceptance() {
         .field("cells", rows)
         .write();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -20,7 +20,6 @@
 //! searched, the chaos cell's served *through* the faults.
 
 use ddws_bench::artifact::{self, fixed, percentile, Artifact, Object};
-use ddws_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ddws_server::{
     decode_response, encode_request, ClientError, ClientSession, CrashInjector, ErrorCode,
     JobOptions, JobSpec, Request, Response, RetryPolicy, Server, ServerConfig, Transport,
@@ -253,37 +252,11 @@ fn run_overload(capacity: usize) -> (usize, usize, usize) {
     (accepted, shed, hinted)
 }
 
-fn bench(c: &mut Criterion) {
+/// The E16 acceptance bar: ≤50% p99 degradation at 1% frame loss +
+/// 1-in-200 worker crashes; overload sheds exactly the overflow, every
+/// rejection hinted.
+fn main() {
     silence_injected_panics();
-    let mut group = c.benchmark_group("e16_chaos");
-    group.sample_size(10);
-
-    // The timing group measures the wire gauntlet's fixed cost: one
-    // status round-trip on the reliable profile vs through the full
-    // fault draw (most draws deliver; the delta is the chaos tax per
-    // frame).
-    let server = Server::new(ServerConfig::deterministic(8, QUANTUM));
-    let mut reliable = ChaosTransport::new(&server, None, FrameChaos::OFF, 7);
-    group.bench_with_input(BenchmarkId::new("wire", "status_reliable"), &(), |b, ()| {
-        b.iter(|| reliable.call(&encode_request(1, &Request::JobStatus { job: 9_999 })))
-    });
-    let lossy = FrameChaos {
-        drop_in: DROP_IN,
-        ..FrameChaos::OFF
-    };
-    let mut hostile = ChaosTransport::new(&server, None, lossy, 7);
-    group.bench_with_input(BenchmarkId::new("wire", "status_lossy"), &(), |b, ()| {
-        b.iter(|| hostile.call(&encode_request(1, &Request::JobStatus { job: 9_999 })))
-    });
-    group.finish();
-
-    acceptance();
-}
-
-/// The E16 acceptance bar (ISSUE: ≤50% p99 degradation at 1% frame
-/// loss + 1-in-200 worker crashes; overload sheds exactly the
-/// overflow, every rejection hinted).
-fn acceptance() {
     let smoke = artifact::smoke();
     let samples = artifact::samples(if smoke { 1 } else { 3 });
 
@@ -394,6 +367,3 @@ fn acceptance() {
         .field("p99_degradation_pct", fixed(degradation_pct, 2))
         .write();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -4,23 +4,36 @@
 //!
 //! Three workloads span the reduction's range:
 //!
-//! * `auditor_chain_holds`: a 3-relay chain plus a channel-free auditor
+//! * `auditor_chain`: a 3-relay chain plus a channel-free auditor
 //!   rotating through 6 phases — the statically independent mover the
 //!   reduction is built for. Ample must visit at most half of Full's
 //!   states here (asserted, per the E9 acceptance bar).
-//! * `chains_holds`: all peers channel-coupled, so ample sets mostly
-//!   degrade to full expansion — measures the oracle's overhead when
-//!   there is nothing to prune.
-//! * `bank_violated`: a counterexample exists; verdicts must agree and
-//!   the lasso must replay, whatever the reduction prunes.
+//! * `chains`: all peers channel-coupled, so ample sets mostly degrade to
+//!   full expansion — measures the oracle's overhead when there is
+//!   nothing to prune.
+//! * `bank_violated`: a counterexample exists, whatever the reduction
+//!   prunes.
+//!
+//! Full and Ample run interleaved on each workload and engine. The bench
+//! asserts that they return the same verdict everywhere, and writes each
+//! cell's median and run report, plus the auditor chain's state ratio, to
+//! `BENCH_E9.json`.
 
 use ddws::scenarios::{bank_loan, chains};
-use ddws_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use ddws_bench::artifact::{self, cell, fixed, Artifact, Object};
 use ddws_model::Semantics;
-use ddws_verifier::{DatabaseMode, Reduction, Verifier, VerifyOptions};
+use ddws_verifier::{DatabaseMode, Reduction, Report, Verifier, VerifyOptions};
 
 const ENGINES: [(&str, Option<usize>); 2] = [("seq", None), ("par2", Some(2))];
-const REDUCTIONS: [(&str, Reduction); 2] = [("full", Reduction::Full), ("ample", Reduction::Ample)];
+
+/// A workload: its name, whether its property holds, and its check.
+type Workload = (&'static str, bool, fn(Option<usize>, Reduction) -> Report);
+
+const WORKLOADS: [Workload; 3] = [
+    ("auditor_chain", true, auditor_chain),
+    ("chains", true, plain_chain),
+    ("bank_violated", false, bank_violated),
+];
 
 fn opts(
     db: ddws_relational::Instance,
@@ -36,110 +49,83 @@ fn opts(
     }
 }
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("e9_partial_order");
-    group.sample_size(10);
-
-    for (engine, threads) in ENGINES {
-        for (red_name, reduction) in REDUCTIONS {
-            group.bench_with_input(
-                BenchmarkId::new("auditor_chain_holds", format!("{engine}/{red_name}")),
-                &(threads, reduction),
-                |b, &(threads, reduction)| {
-                    b.iter(|| {
-                        let mut v = Verifier::new(chains::composition_with_auditor(
-                            3,
-                            6,
-                            true,
-                            Semantics::default(),
-                        ));
-                        let db = chains::database(v.composition_mut(), 1);
-                        let report = v
-                            .check_str(&chains::prop_integrity(3), &opts(db, threads, reduction))
-                            .unwrap();
-                        assert!(report.outcome.holds());
-                        report.stats.states_visited
-                    })
-                },
-            );
-        }
-    }
-
-    for (engine, threads) in ENGINES {
-        for (red_name, reduction) in REDUCTIONS {
-            group.bench_with_input(
-                BenchmarkId::new("chains_holds", format!("{engine}/{red_name}")),
-                &(threads, reduction),
-                |b, &(threads, reduction)| {
-                    b.iter(|| {
-                        let mut v =
-                            Verifier::new(chains::composition(3, true, Semantics::default()));
-                        let db = chains::database(v.composition_mut(), 2);
-                        let report = v
-                            .check_str(&chains::prop_integrity(3), &opts(db, threads, reduction))
-                            .unwrap();
-                        assert!(report.outcome.holds());
-                        report.stats.states_visited
-                    })
-                },
-            );
-        }
-    }
-
-    for (engine, threads) in ENGINES {
-        for (red_name, reduction) in REDUCTIONS {
-            group.bench_with_input(
-                BenchmarkId::new("bank_violated", format!("{engine}/{red_name}")),
-                &(threads, reduction),
-                |b, &(threads, reduction)| {
-                    b.iter(|| {
-                        let sem = Semantics {
-                            nested_send_skips_empty: true,
-                            ..Semantics::default()
-                        };
-                        let mut v = Verifier::new(bank_loan::composition(true, sem));
-                        let db = bank_loan::demo_database(v.composition_mut());
-                        let report = v
-                            .check_str(
-                                bank_loan::PROP_NO_RATING_EVER,
-                                &opts(db, threads, reduction),
-                            )
-                            .unwrap();
-                        assert!(!report.outcome.holds());
-                        report.stats.states_visited
-                    })
-                },
-            );
-        }
-    }
-
-    group.finish();
-
-    // The E9 acceptance bar, checked once outside the timing loops: on the
-    // auditor chain the reduction must at least halve the visited states.
-    for (engine, threads) in ENGINES {
-        let states = |reduction| {
-            let mut v = Verifier::new(chains::composition_with_auditor(
-                3,
-                6,
-                true,
-                Semantics::default(),
-            ));
-            let db = chains::database(v.composition_mut(), 1);
-            let report = v
-                .check_str(&chains::prop_integrity(3), &opts(db, threads, reduction))
-                .unwrap();
-            assert!(report.outcome.holds());
-            report.stats.states_visited
-        };
-        let (full, ample) = (states(Reduction::Full), states(Reduction::Ample));
-        assert!(
-            ample * 2 <= full,
-            "{engine}: expected >=2x reduction, got {ample} vs {full}"
-        );
-        println!("e9_partial_order/acceptance/{engine}: full={full} ample={ample} states");
-    }
+fn auditor_chain(threads: Option<usize>, reduction: Reduction) -> Report {
+    let comp = chains::composition_with_auditor(3, 6, true, Semantics::default());
+    let mut v = Verifier::new(comp);
+    let db = chains::database(v.composition_mut(), 1);
+    v.check_str(&chains::prop_integrity(3), &opts(db, threads, reduction))
+        .unwrap()
 }
 
-criterion_group!(benches, bench);
-criterion_main!(benches);
+fn plain_chain(threads: Option<usize>, reduction: Reduction) -> Report {
+    let mut v = Verifier::new(chains::composition(3, true, Semantics::default()));
+    let db = chains::database(v.composition_mut(), 2);
+    v.check_str(&chains::prop_integrity(3), &opts(db, threads, reduction))
+        .unwrap()
+}
+
+fn bank_violated(threads: Option<usize>, reduction: Reduction) -> Report {
+    let sem = Semantics {
+        nested_send_skips_empty: true,
+        ..Semantics::default()
+    };
+    let mut v = Verifier::new(bank_loan::composition(true, sem));
+    let db = bank_loan::demo_database(v.composition_mut());
+    v.check_str(
+        bank_loan::PROP_NO_RATING_EVER,
+        &opts(db, threads, reduction),
+    )
+    .unwrap()
+}
+
+fn main() {
+    let samples = artifact::samples(5);
+    let mut artifact = Artifact::new("e9_partial_order", false, samples);
+    for (workload, holds, check) in WORKLOADS {
+        let mut engines = Object::new();
+        for (engine, threads) in ENGINES {
+            let mut full = || check(threads, Reduction::Full);
+            let mut ample = || check(threads, Reduction::Ample);
+            let [(full_ns, full), (ample_ns, ample)] =
+                artifact::medians(samples, [&mut full, &mut ample]);
+            let (full_states, ample_states) =
+                (full.stats.states_visited, ample.stats.states_visited);
+            println!(
+                "e9_partial_order/{workload}/{engine}: {} full={full_ns}ns/{full_states} states \
+                 ample={ample_ns}ns/{ample_states} states",
+                full.telemetry.outcome
+            );
+            assert_eq!(
+                full.outcome.holds(),
+                holds,
+                "{workload}/{engine}: full verdict"
+            );
+            assert_eq!(
+                full.telemetry.outcome, ample.telemetry.outcome,
+                "{workload}/{engine}: full and ample verdicts differ"
+            );
+            let states_ratio = full_states as f64 / ample_states.max(1) as f64;
+            if workload == "auditor_chain" {
+                assert!(
+                    ample_states * 2 <= full_states,
+                    "{engine}: expected >=2x reduction, got {ample_states} vs {full_states}"
+                );
+            }
+            engines.push(
+                engine,
+                Object::new()
+                    .field(
+                        "full",
+                        cell(full_ns, &full.telemetry).field("states_visited", full_states),
+                    )
+                    .field(
+                        "ample",
+                        cell(ample_ns, &ample.telemetry).field("states_visited", ample_states),
+                    )
+                    .field("states_ratio", fixed(states_ratio, 2)),
+            );
+        }
+        artifact = artifact.field(workload, engines);
+    }
+    artifact.write();
+}

@@ -1,9 +1,10 @@
-//! The one writer of the `BENCH_*.json` artifacts of E10, E11 and
-//! E13–E16: one reader of the bench environment variables, timing
-//! helpers, and an [`Artifact`] that stamps the host, scale and sample
-//! count and writes one line of [`Json`] at the workspace root. A
-//! measured [`cell`] embeds the full [`RunReport`] of the run it timed,
-//! so the report's key list is the only list of what a bench records.
+//! The one writer of every experiment's `BENCH_*.json` artifact: one
+//! reader of the bench environment variables, the timing helpers every
+//! bench measures with, and an [`Artifact`] that stamps the host, scale
+//! and sample count and writes one line of [`Json`] at the workspace
+//! root. A measured [`cell`] embeds the full [`RunReport`] of the run it
+//! timed, so the report's key list is the only list of what a bench
+//! records.
 
 use ddws_server::Server;
 use ddws_telemetry::{Json, RunReport};

@@ -1,11 +1,12 @@
 //! Shared benchmark workloads for the experiment suite of EXPERIMENTS.md.
 //!
-//! Each `e*_...` bench target regenerates one experiment; this library
-//! holds the builders they share. The scenarios themselves live in the
-//! `ddws` facade crate (`ddws::scenarios`).
+//! Each `e*_...` bench target regenerates one experiment and writes its
+//! `BENCH_*.json` through [`artifact`], the one way a bench times
+//! anything; this library also holds the builders they share. The
+//! scenarios themselves live in the `ddws` facade crate
+//! (`ddws::scenarios`).
 
 pub mod artifact;
-pub mod harness;
 
 pub use ddws_boundaries::{counting_relay, state_space_size};
 

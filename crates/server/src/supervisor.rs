@@ -33,7 +33,7 @@
 //!
 //! [`ServerConfig::crash_quarantine`]: crate::service::ServerConfig::crash_quarantine
 
-use ddws_telemetry::RunReport;
+use ddws_telemetry::{panic_message, RunReport};
 use ddws_testkit::rng::XorShift;
 use ddws_verifier::{Report, VerifyError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -79,19 +79,9 @@ where
         },
         Ok(Err(e)) => SliceOutcome::Failed(e),
         Err(panic) => SliceOutcome::Crashed {
-            payload: panic_payload(panic.as_ref()),
+            payload: panic_message(&*panic),
             report: None,
         },
-    }
-}
-
-fn panic_payload(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

@@ -1,7 +1,8 @@
 //! Run-control primitives shared by the engines and the verifier: the
 //! cooperative [`CancelToken`], the [`AbortReason`] taxonomy every
-//! inconclusive stop is classified under, and the test-only [`FaultHook`]
-//! the deterministic fault injector uses.
+//! inconclusive stop is classified under, the [`panic_message`] every
+//! caught panic is recorded with, and the test-only [`FaultHook`] the
+//! deterministic fault injector uses.
 //!
 //! These live here (rather than in `ddws-automata`) for the same reason
 //! [`SearchStats`](crate::SearchStats) does: this crate is the dependency-
@@ -156,6 +157,21 @@ impl AbortReason {
     }
 }
 
+/// A caught panic's message, as [`AbortReason::WorkerPanicked`] and the
+/// server's crash records carry it: the `&str` or `String` a `panic!`
+/// raised, else `"non-string panic payload"`. Pass the payload itself
+/// (`&*boxed`), not a reference to its `Box`, which would downcast as the
+/// box.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 impl std::fmt::Display for AbortReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -250,5 +266,17 @@ mod tests {
         };
         assert_eq!(r.label(), "worker_panicked");
         assert_eq!(r.budget(), 0);
+    }
+
+    #[test]
+    fn panic_messages_read_string_payloads_only() {
+        let payloads: [(Box<dyn std::any::Any + Send>, &str); 3] = [
+            (Box::new("static text"), "static text"),
+            (Box::new(format!("formatted {}", 7)), "formatted 7"),
+            (Box::new(42u32), "non-string panic payload"),
+        ];
+        for (payload, message) in payloads {
+            assert_eq!(panic_message(&*payload), message);
+        }
     }
 }

@@ -33,7 +33,7 @@ pub mod report;
 pub mod reporter;
 pub mod stats;
 
-pub use control::{AbortReason, CancelToken, FaultHook};
+pub use control::{panic_message, AbortReason, CancelToken, FaultHook};
 pub use json::Json;
 pub use report::{Abort, Counters, PhaseTimes, RunReport, SCHEMA_NAME, SCHEMA_VERSION};
 pub use reporter::{

@@ -1,10 +1,8 @@
 //! The per-run counter block shared by every search engine.
 //!
-//! `SearchStats` used to live in `ddws-automata`; it moved here so the
-//! merge semantics (`absorb`) are defined once for sequential searches,
-//! parallel worker shards, and per-valuation accumulation in the verifier.
-//! `ddws_automata::SearchStats` re-exports this type as a compatibility
-//! shim.
+//! `SearchStats` lives here so the merge semantics (`absorb`) are defined
+//! once for sequential searches, parallel worker shards, and per-valuation
+//! accumulation in the verifier.
 
 /// Counters and phase timers describing one product-graph search.
 ///

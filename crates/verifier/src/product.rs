@@ -200,7 +200,7 @@ impl SharedSearch {
 
     /// Shared state that evaluates rules through the FO interpreter but
     /// still meters evaluation time, so compiled-vs-interpreted timings in
-    /// [`ddws_automata::emptiness::SearchStats`] are comparable.
+    /// [`ddws_telemetry::SearchStats`] are comparable.
     pub fn interpreted_metered() -> Self {
         SharedSearch::with_rules(None, RuleCache::timing_only())
     }

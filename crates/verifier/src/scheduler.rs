@@ -51,7 +51,7 @@ use ddws_automata::{ltl_to_nba_limits, EngineCheckpoint, Ltl, Nba, SearchLimits}
 use ddws_logic::VarId;
 use ddws_relational::hash::FxHashMap;
 use ddws_relational::Value;
-use ddws_telemetry::{AbortReason, CancelToken, SearchStats};
+use ddws_telemetry::{panic_message, AbortReason, CancelToken, SearchStats};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -315,20 +315,8 @@ where
         Ok(out) => out,
         Err(payload) => TaskOutput::stopped(AbortReason::WorkerPanicked {
             worker: shard,
-            payload: payload_string(payload.as_ref()),
+            payload: panic_message(&*payload),
         }),
-    }
-}
-
-/// Best-effort panic payload stringification (the common `&str` and
-/// `String` payloads; anything else is opaque).
-fn payload_string(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
     }
 }
 

@@ -6,7 +6,6 @@ use crate::ground::{canonical_valuations, ground_ltlfo, AtomRegistry};
 use crate::oracle::{FactUniverse, Oracle};
 use crate::product::{PState, ProductSystem, SharedSearch};
 use crate::relevance::ColumnDomains;
-use ddws_automata::emptiness::SearchStats;
 use ddws_automata::{resume_accepting_lasso_with, ClockHandle, EngineCheckpoint, Ltl, Nba};
 use ddws_logic::input_bounded::{
     check_input_bounded_fo, check_input_bounded_sentence, IbOptions, IbViolation,
@@ -16,6 +15,7 @@ use ddws_logic::{Fo, LtlFo, LtlFoSentence, VarId};
 use ddws_model::builder::collect_constants;
 use ddws_model::{Composition, IndependenceOracle, ValueClasses};
 use ddws_relational::{Instance, RelId, Value};
+use ddws_telemetry::SearchStats;
 use ddws_telemetry::{AbortReason, CancelToken, FaultHook, ReporterHandle, RunReport};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
