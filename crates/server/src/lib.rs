@@ -36,10 +36,10 @@ pub mod supervisor;
 pub mod wire;
 
 pub use client::{ClientError, ClientSession, RetryPolicy, Transport};
-pub use queue::{JobQueue, JobState, DEDUP_WINDOW};
+pub use queue::{JobQueue, JobState, JobSummary, Verdict, DEDUP_WINDOW};
 pub use service::{
-    redacted_reports, roundtrip, scenario, JobSummary, Server, ServerConfig, ServiceEvent,
-    WorkerPool, SCENARIOS,
+    redacted_reports, roundtrip, scenario, Server, ServerConfig, ServiceEvent, WorkerPool,
+    SCENARIOS,
 };
 pub use supervisor::{CrashInjector, SliceOutcome, DEFAULT_CRASH_QUARANTINE};
 pub use wire::{

@@ -28,7 +28,7 @@
 //!   eviction ([`JobQueue::evict_results`]); a `fetch_result` after
 //!   eviction answers the typed `result_evicted`, never a hang.
 
-use crate::wire::{CexDigest, ErrorCode, JobOptions, WireError};
+use crate::wire::{CexDigest, ErrorCode, JobOptions, JobSnapshot, WireError};
 use ddws_relational::Instance;
 use ddws_telemetry::{CancelToken, RunReport, StreamReporter};
 use ddws_verifier::{Checkpoint, Verifier};
@@ -47,12 +47,13 @@ pub enum JobState {
     /// Preempted between slices; the checkpoint is parked in the queue.
     Parked,
     /// Terminal: the job ran to a verdict (`holds`, `violated`, or
-    /// `budget_exceeded` — see the job's verdict label).
+    /// `budget_exceeded`).
     Done,
     /// Terminal: cancelled before reaching a verdict; any parked
     /// checkpoint was discarded.
     Cancelled,
-    /// Terminal: the service failed the job (bad property, worker panic).
+    /// Terminal: the service failed the job (bad property, worker panic,
+    /// crash quarantine).
     Failed,
 }
 
@@ -91,6 +92,65 @@ impl JobState {
     }
 }
 
+/// How a job ended. Every terminal job has exactly one verdict, and its
+/// [`JobState`] is a function of it ([`Verdict::state`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Verdict {
+    /// The property holds.
+    Holds,
+    /// The property is violated; the job carries a counterexample digest.
+    Violated,
+    /// The job's state budget ran out before a verdict.
+    BudgetExceeded,
+    /// A `cancel_job` ended the job.
+    Cancelled,
+    /// The service failed the job (bad property, engine abort).
+    Failed,
+    /// The job's slices crashed [`ServerConfig::crash_quarantine`]
+    /// times and it was quarantined.
+    ///
+    /// [`ServerConfig::crash_quarantine`]: crate::ServerConfig::crash_quarantine
+    JobPoisoned,
+}
+
+impl Verdict {
+    /// Every verdict.
+    pub const ALL: [Verdict; 6] = [
+        Verdict::Holds,
+        Verdict::Violated,
+        Verdict::BudgetExceeded,
+        Verdict::Cancelled,
+        Verdict::Failed,
+        Verdict::JobPoisoned,
+    ];
+
+    /// The stable label the wire and the event log carry.
+    pub fn label(self) -> &'static str {
+        match self {
+            Verdict::Holds => "holds",
+            Verdict::Violated => "violated",
+            Verdict::BudgetExceeded => "budget_exceeded",
+            Verdict::Cancelled => "cancelled",
+            Verdict::Failed => "failed",
+            Verdict::JobPoisoned => "job_poisoned",
+        }
+    }
+
+    /// Parses a label.
+    pub fn parse(s: &str) -> Option<Verdict> {
+        Verdict::ALL.into_iter().find(|v| v.label() == s)
+    }
+
+    /// The terminal state a job with this verdict is in.
+    pub fn state(self) -> JobState {
+        match self {
+            Verdict::Holds | Verdict::Violated | Verdict::BudgetExceeded => JobState::Done,
+            Verdict::Cancelled => JobState::Cancelled,
+            Verdict::Failed | Verdict::JobPoisoned => JobState::Failed,
+        }
+    }
+}
+
 /// The executable part of a job: what a worker takes off the queue for
 /// one slice. Between slices the parked [`Checkpoint`] (the PR 8
 /// multi-leg `EngineCheckpoint` set) lives here.
@@ -105,44 +165,64 @@ pub(crate) struct JobWork {
     pub checkpoint: Option<Checkpoint>,
 }
 
-/// One job's full record.
-pub struct JobEntry {
+/// A job's observable record: one row of [`Server::jobs`](crate::Server::jobs).
+#[derive(Clone, Debug)]
+pub struct JobSummary {
     /// The wire-visible job id.
-    pub id: u64,
+    pub job: u64,
     /// Scheduling state.
     pub state: JobState,
     /// Quanta executed so far.
     pub slices: u64,
     /// Cumulative visited states across slices.
     pub states_visited: u64,
-    /// Terminal verdict label, once terminal.
-    pub verdict: Option<String>,
-    /// The final slice's run report, once terminal (absent for jobs
-    /// cancelled before any slice completed).
-    pub report: Option<RunReport>,
+    /// The verdict, present exactly when the job is terminal.
+    pub verdict: Option<Verdict>,
     /// Counterexample digest on a `violated` verdict.
     pub counterexample: Option<CexDigest>,
-    /// The per-job limits from `submit_job`.
-    pub options: JobOptions,
-    /// The job's cancel token, threaded into every slice.
-    pub cancel: CancelToken,
-    /// Whether a `cancel_job` arrived (observed between or during slices).
-    pub cancel_requested: bool,
-    /// Whether the cancel discarded a parked checkpoint.
+    /// Scheduler step count at admission (fairness accounting).
+    pub submitted_step: u64,
+    /// Scheduler step count at the terminal transition.
+    pub completed_step: Option<u64>,
+    /// Whether a cancel discarded a parked checkpoint.
     pub discarded_checkpoint: bool,
     /// Crashed slices the supervisor absorbed and re-dispatched.
     pub crash_recoveries: u64,
     /// Whether the retention store evicted this job's result (report and
     /// counterexample dropped; `fetch_result` answers `result_evicted`).
     pub evicted: bool,
+}
+
+impl JobSummary {
+    /// The `job_status` answer for this job.
+    pub fn snapshot(&self) -> JobSnapshot {
+        JobSnapshot {
+            job: self.job,
+            state: self.state,
+            slices: self.slices,
+            states_visited: self.states_visited,
+        }
+    }
+}
+
+/// One job's full record: the observable row plus what the service needs
+/// to run the job.
+pub struct JobEntry {
+    /// The observable record.
+    pub row: JobSummary,
+    /// The final slice's run report, once terminal (absent for jobs that
+    /// ended without a completed slice, and after eviction).
+    pub report: Option<RunReport>,
+    /// The per-job limits from `submit_job`.
+    pub options: JobOptions,
+    /// The job's cancel token, threaded into every slice.
+    pub cancel: CancelToken,
+    /// Whether a `cancel_job` arrived (observed between or during slices).
+    pub cancel_requested: bool,
     /// The idempotency token the submit carried, if any.
     pub submit_token: Option<u64>,
     /// The per-job telemetry stream (`stream_telemetry` drains it).
     pub stream: StreamReporter,
-    /// Scheduler step count at admission (fairness accounting).
-    pub submitted_step: u64,
-    /// Scheduler step count at the terminal transition.
-    pub completed_step: Option<u64>,
     pub(crate) work: Option<JobWork>,
 }
 
@@ -151,6 +231,9 @@ pub struct JobEntry {
 pub struct JobQueue {
     capacity: usize,
     jobs: Vec<JobEntry>,
+    /// Non-terminal jobs: admission adds one, [`JobQueue::finish`] takes
+    /// one away.
+    active: usize,
     run_queue: VecDeque<u64>,
     /// `(submit_token, job)` pairs, oldest first, at most [`DEDUP_WINDOW`].
     dedup: VecDeque<(u64, u64)>,
@@ -164,6 +247,7 @@ impl JobQueue {
         JobQueue {
             capacity: capacity.max(1),
             jobs: Vec::new(),
+            active: 0,
             run_queue: VecDeque::new(),
             dedup: VecDeque::new(),
             retained: VecDeque::new(),
@@ -177,7 +261,7 @@ impl JobQueue {
 
     /// Number of active (non-terminal) jobs.
     pub fn active(&self) -> usize {
-        self.jobs.iter().filter(|j| !j.state.is_terminal()).count()
+        self.active
     }
 
     /// All job records, in admission order.
@@ -204,37 +288,36 @@ impl JobQueue {
         step: u64,
         submit_token: Option<u64>,
     ) -> Result<u64, WireError> {
-        if self.active() >= self.capacity {
+        if self.active >= self.capacity {
             return Err(WireError::new(
                 ErrorCode::QueueFull,
-                format!(
-                    "{} active jobs at capacity {}",
-                    self.active(),
-                    self.capacity
-                ),
+                format!("{} active jobs at capacity {}", self.active, self.capacity),
             ));
         }
         let id = self.jobs.len() as u64;
         self.jobs.push(JobEntry {
-            id,
-            state: JobState::Queued,
-            slices: 0,
-            states_visited: 0,
-            verdict: None,
+            row: JobSummary {
+                job: id,
+                state: JobState::Queued,
+                slices: 0,
+                states_visited: 0,
+                verdict: None,
+                counterexample: None,
+                submitted_step: step,
+                completed_step: None,
+                discarded_checkpoint: false,
+                crash_recoveries: 0,
+                evicted: false,
+            },
             report: None,
-            counterexample: None,
             options,
             cancel: CancelToken::new(),
             cancel_requested: false,
-            discarded_checkpoint: false,
-            crash_recoveries: 0,
-            evicted: false,
             submit_token,
             stream: StreamReporter::new(),
-            submitted_step: step,
-            completed_step: None,
             work: Some(work),
         });
+        self.active += 1;
         self.run_queue.push_back(id);
         if let Some(token) = submit_token {
             if self.dedup.len() == DEDUP_WINDOW {
@@ -259,23 +342,50 @@ impl JobQueue {
     /// ids that went terminal (cancelled) while queued.
     pub(crate) fn next_runnable(&mut self) -> Option<u64> {
         while let Some(id) = self.run_queue.pop_front() {
-            if !self.jobs[id as usize].state.is_terminal() {
+            if !self.jobs[id as usize].row.state.is_terminal() {
                 return Some(id);
             }
         }
         None
     }
 
-    /// Returns a parked job to the tail of the round-robin queue.
-    pub(crate) fn requeue(&mut self, id: u64) {
+    /// Parks a job between slices: its work goes back into the table and
+    /// its id to the tail of the round-robin queue.
+    pub(crate) fn park(&mut self, id: u64, work: JobWork) {
+        let entry = &mut self.jobs[id as usize];
+        entry.row.state = JobState::Parked;
+        entry.work = Some(work);
         self.run_queue.push_back(id);
+    }
+
+    /// The one terminal transition: sets the job's state from `verdict`,
+    /// its final report (stamped with the job's crash recoveries) and its
+    /// completion step, and drops its work.
+    pub(crate) fn finish(
+        &mut self,
+        id: u64,
+        verdict: Verdict,
+        report: Option<RunReport>,
+        step: u64,
+    ) {
+        let entry = &mut self.jobs[id as usize];
+        debug_assert!(!entry.row.state.is_terminal(), "job {id} finished twice");
+        entry.row.state = verdict.state();
+        entry.row.verdict = Some(verdict);
+        entry.row.completed_step = Some(step);
+        entry.report = report.map(|mut report| {
+            report.counters.crash_recoveries = entry.row.crash_recoveries;
+            report
+        });
+        entry.work = None;
+        self.active -= 1;
     }
 
     /// Whether any job is waiting for a quantum.
     pub fn has_runnable(&self) -> bool {
         self.run_queue
             .iter()
-            .any(|&id| !self.jobs[id as usize].state.is_terminal())
+            .any(|&id| !self.jobs[id as usize].row.state.is_terminal())
     }
 
     /// Enters a freshly terminal job's result into the retention store
@@ -297,7 +407,7 @@ impl JobQueue {
     /// Applies the retention policy: drops results whose TTL expired,
     /// then evicts from the LRU end until at most `capacity` results
     /// remain. Evicted jobs lose their report and counterexample and are
-    /// marked [`JobEntry::evicted`]; returns the evicted ids in eviction
+    /// marked [`JobSummary::evicted`]; returns the evicted ids in eviction
     /// order.
     pub(crate) fn evict_results(&mut self, now_ns: u64, capacity: usize, ttl_ns: u64) -> Vec<u64> {
         let mut evicted = Vec::new();
@@ -316,8 +426,8 @@ impl JobQueue {
         for &id in &evicted {
             let entry = &mut self.jobs[id as usize];
             entry.report = None;
-            entry.counterexample = None;
-            entry.evicted = true;
+            entry.row.counterexample = None;
+            entry.row.evicted = true;
         }
         evicted
     }
@@ -325,5 +435,92 @@ impl JobQueue {
     /// Number of results the retention store currently holds.
     pub fn retained_results(&self) -> usize {
         self.retained.len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ddws_testkit::rng::XorShift;
+
+    fn work() -> JobWork {
+        let case = crate::scenario("req_resp").expect("registered scenario");
+        JobWork {
+            verifier: Verifier::new(case.composition),
+            property: case.property,
+            database: case.database,
+            checkpoint: None,
+        }
+    }
+
+    #[test]
+    fn the_active_count_matches_a_recount_across_submits_parks_finishes_and_cancels() {
+        let recount = |q: &JobQueue| {
+            q.jobs()
+                .iter()
+                .filter(|j| !j.row.state.is_terminal())
+                .count()
+        };
+        let mut queue = JobQueue::new(5);
+        let mut rng = XorShift::new(11);
+        let (mut rejected, mut finished) = (0, 0);
+        for step in 0..300 {
+            let live: Vec<u64> = queue
+                .jobs()
+                .iter()
+                .filter(|j| !j.row.state.is_terminal())
+                .map(|j| j.row.job)
+                .collect();
+            match rng.below(4) {
+                0 | 1 => match queue.submit(work(), JobOptions::default(), step, None) {
+                    Ok(_) => {}
+                    Err(err) => {
+                        assert_eq!(err.code, ErrorCode::QueueFull);
+                        assert_eq!(live.len(), queue.capacity());
+                        rejected += 1;
+                    }
+                },
+                // A slice: the round-robin head runs and parks or ends.
+                2 => {
+                    if let Some(id) = queue.next_runnable() {
+                        let work = queue.job_mut(id).unwrap().work.take().unwrap();
+                        if rng.bool() {
+                            queue.park(id, work);
+                        } else {
+                            queue.finish(id, *rng.choose(&Verdict::ALL), None, step);
+                            finished += 1;
+                        }
+                    }
+                }
+                // A cancel of any live job, queued or parked.
+                _ => {
+                    if !live.is_empty() {
+                        let id = *rng.choose(&live);
+                        queue.finish(id, Verdict::Cancelled, None, step);
+                        finished += 1;
+                    }
+                }
+            }
+            assert_eq!(queue.active(), recount(&queue), "step {step}");
+        }
+        assert!(rejected > 0 && finished > 0, "the walk hit both edges");
+        for entry in queue.jobs() {
+            let row = &entry.row;
+            assert_eq!(row.state.is_terminal(), row.verdict.is_some());
+            assert_eq!(row.state.is_terminal(), row.completed_step.is_some());
+            assert_eq!(row.state.is_terminal(), entry.work.is_none());
+            if let Some(verdict) = row.verdict {
+                assert_eq!(row.state, verdict.state());
+            }
+        }
+    }
+
+    #[test]
+    fn verdict_labels_round_trip() {
+        for verdict in Verdict::ALL {
+            assert_eq!(Verdict::parse(verdict.label()), Some(verdict));
+            assert!(verdict.state().is_terminal());
+        }
+        assert_eq!(Verdict::parse("done"), None);
     }
 }

@@ -26,11 +26,23 @@
 //! *Wall mode* (`clock: None`): [`Server::run_workers`] spawns real
 //! threads that loop [`Server::step`] under `WallClock`. *Deterministic
 //! mode* (`clock: Some(manual)`): the caller drives `step` from one
-//! thread; every slice advances the [`ManualClock`] one `tick_ns` per
-//! state expansion through the fault hook, so the whole server — wire
-//! traffic included — is a pure function of the request sequence, and
-//! the canonical event log plus redacted reports replay byte-identically
-//! (the PR 6 simulator drives exactly this mode).
+//! thread; every slice advances the [`ManualClock`] 64 virtual
+//! nanoseconds per state expansion through the fault hook, so the whole
+//! server — wire traffic included — is a pure function of the request
+//! sequence, and the canonical event log plus redacted reports replay
+//! byte-identically (the PR 6 simulator drives exactly this mode).
+//!
+//! The canonical log records every submit, slice, cancel and eviction in
+//! both modes. Polls (`job_status`, `fetch_result`, `stream_telemetry`)
+//! are recorded only in deterministic mode, where the log is the replay
+//! unit; in wall mode they would grow the log by one line per poll for
+//! the server's lifetime.
+//!
+//! ## Job lifecycle
+//!
+//! A job turns terminal in exactly one place, [`JobQueue::finish`]: it
+//! sets the typed [`Verdict`], the [`JobState`] that verdict implies,
+//! the final report and the completion step, and drops the job's work.
 //!
 //! ## Robustness
 //!
@@ -46,11 +58,11 @@
 //! store whose evictions answer `fetch_result` with the typed
 //! `result_evicted`.
 
-use crate::queue::{JobQueue, JobState, JobWork};
+use crate::queue::{JobEntry, JobQueue, JobState, JobSummary, JobWork, Verdict};
 use crate::supervisor::{supervise_slice, CrashInjector, SliceOutcome, DEFAULT_CRASH_QUARANTINE};
 use crate::wire::{
-    decode_request, encode_response, CexDigest, ErrorCode, JobOptions, JobSnapshot, JobSpec,
-    Request, Response, WireError,
+    decode_request, encode_response, CexDigest, ErrorCode, JobOptions, JobSpec, Request, Response,
+    WireError,
 };
 use ddws_model::{CompositionBuilder, QueueKind};
 use ddws_relational::Instance;
@@ -66,6 +78,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// Virtual nanoseconds per state expansion in deterministic mode.
+const TICK_NS: u64 = 64;
+
 /// Service configuration.
 #[derive(Clone)]
 pub struct ServerConfig {
@@ -74,10 +89,9 @@ pub struct ServerConfig {
     /// The per-slice quantum: additional visited states per quantum.
     pub quantum_states: u64,
     /// `Some` switches the service into deterministic mode: slices run
-    /// under this virtual clock, advanced `tick_ns` per state expansion.
+    /// under this virtual clock, advanced 64 virtual nanoseconds per
+    /// state expansion.
     pub clock: Option<Arc<ManualClock>>,
-    /// Virtual nanoseconds per state expansion (deterministic mode).
-    pub tick_ns: u64,
     /// Progress-snapshot interval for wall mode (`None` disables).
     /// Deterministic mode never emits snapshots — the progress gate reads
     /// wall time, which would break replay.
@@ -103,7 +117,6 @@ impl Default for ServerConfig {
             capacity: 64,
             quantum_states: 1024,
             clock: None,
-            tick_ns: 64,
             progress_interval: Some(Duration::from_millis(25)),
             crash_quarantine: DEFAULT_CRASH_QUARANTINE,
             retain_results: 1024,
@@ -120,7 +133,6 @@ impl ServerConfig {
             capacity,
             quantum_states,
             clock: Some(Arc::new(ManualClock::new(0))),
-            tick_ns: 64,
             progress_interval: None,
             ..ServerConfig::default()
         }
@@ -128,7 +140,8 @@ impl ServerConfig {
 }
 
 /// One entry of the canonical service event log. The log records every
-/// state transition the scheduler and the dispatcher make; its rendering
+/// state transition the scheduler and the dispatcher make, and, in
+/// deterministic mode only, every poll; its rendering
 /// ([`Server::canonical_log`]) is the replay unit of the deterministic
 /// service tests.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -167,21 +180,21 @@ pub enum ServiceEvent {
         /// `"pending"` (job was mid-slice), or an error-code name.
         outcome: String,
     },
-    /// A `job_status` poll.
+    /// A `job_status` poll (deterministic mode only).
     Status {
         /// The job.
         job: u64,
         /// The reported state, or an error-code name.
         state: String,
     },
-    /// A `fetch_result`.
+    /// A `fetch_result` (deterministic mode only).
     Fetch {
         /// The job.
         job: u64,
         /// The verdict label, or an error-code name.
         outcome: String,
     },
-    /// A `stream_telemetry` drain.
+    /// A `stream_telemetry` drain (deterministic mode only).
     Telemetry {
         /// The job.
         job: u64,
@@ -242,12 +255,51 @@ struct ServerState {
     queue: JobQueue,
     steps: u64,
     log: Vec<ServiceEvent>,
+    /// Whether polls go into the log (deterministic mode).
+    log_polls: bool,
     /// Nanoseconds of completed (non-crashed) slices — virtual in
     /// deterministic mode, wall otherwise — for the back-pressure hint.
     slice_ns_total: u64,
     /// Completed slices behind `slice_ns_total`.
     slices_timed: u64,
 }
+
+impl ServerState {
+    /// Appends `event` to the canonical log; polls only when `log_polls`.
+    fn record(&mut self, event: ServiceEvent) {
+        let poll = matches!(
+            event,
+            ServiceEvent::Status { .. }
+                | ServiceEvent::Fetch { .. }
+                | ServiceEvent::Telemetry { .. }
+        );
+        if self.log_polls || !poll {
+            self.log.push(event);
+        }
+    }
+
+    /// Looks a request's job up. An unknown id answers `unknown_job`,
+    /// recorded as `rejected(job, "unknown_job")` for handlers that log
+    /// their rejections.
+    fn known_job(
+        &mut self,
+        job: u64,
+        rejected: Option<fn(u64, String) -> ServiceEvent>,
+    ) -> Result<&mut JobEntry, WireError> {
+        if self.queue.job(job).is_none() {
+            let code = ErrorCode::UnknownJob;
+            if let Some(event) = rejected {
+                self.record(event(job, code.name().to_string()));
+            }
+            return Err(WireError::new(code, format!("no job {job}")));
+        }
+        Ok(self.queue.job_mut(job).expect("job exists"))
+    }
+}
+
+/// How a slice leaves its job: terminal with a verdict and final report,
+/// or `None` when the job parks for another quantum.
+type SliceEnd = Option<(Verdict, Option<RunReport>)>;
 
 /// The verification service. Cheap to share: wrap in an [`Arc`] and hand
 /// clones to worker threads ([`Server::run_workers`]) or drive it
@@ -263,12 +315,14 @@ impl Server {
     /// A fresh service.
     pub fn new(config: ServerConfig) -> Server {
         let capacity = config.capacity;
+        let log_polls = config.clock.is_some();
         Server {
             config,
             state: Mutex::new(ServerState {
                 queue: JobQueue::new(capacity),
                 steps: 0,
                 log: Vec::new(),
+                log_polls,
                 slice_ns_total: 0,
                 slices_timed: 0,
             }),
@@ -337,7 +391,7 @@ impl Server {
         // double-submit, even when the queue is otherwise full.
         if let Some(token) = submit_token {
             if let Some(id) = st.queue.dedup_lookup(token) {
-                st.log.push(ServiceEvent::Submit {
+                st.record(ServiceEvent::Submit {
                     job: Some(id),
                     kind,
                     code: None,
@@ -358,7 +412,7 @@ impl Server {
         });
         match outcome {
             Ok(id) => {
-                st.log.push(ServiceEvent::Submit {
+                st.record(ServiceEvent::Submit {
                     job: Some(id),
                     kind,
                     code: None,
@@ -372,7 +426,7 @@ impl Server {
                 } else {
                     err
                 };
-                st.log.push(ServiceEvent::Submit {
+                st.record(ServiceEvent::Submit {
                     job: None,
                     kind,
                     code: Some(err.code),
@@ -392,90 +446,54 @@ impl Server {
         let per_slice = st
             .slice_ns_total
             .checked_div(st.slices_timed)
-            .unwrap_or_else(|| config.quantum_states.saturating_mul(config.tick_ns));
+            .unwrap_or_else(|| config.quantum_states.saturating_mul(TICK_NS));
         per_slice
             .saturating_mul(st.queue.active() as u64 + 1)
             .max(1)
     }
 
-    fn snapshot_of(entry: &crate::queue::JobEntry) -> JobSnapshot {
-        JobSnapshot {
-            job: entry.id,
-            state: entry.state,
-            slices: entry.slices,
-            states_visited: entry.states_visited,
-        }
-    }
-
     fn status(&self, job: u64) -> Response {
         let mut st = self.state.lock().unwrap();
-        match st.queue.job(job) {
-            Some(entry) => {
-                let sn = Self::snapshot_of(entry);
-                st.log.push(ServiceEvent::Status {
-                    job,
-                    state: sn.state.as_str().to_string(),
-                });
-                Response::Status(sn)
-            }
-            None => {
-                st.log.push(ServiceEvent::Status {
-                    job,
-                    state: ErrorCode::UnknownJob.name().to_string(),
-                });
-                Response::Error(WireError::new(
-                    ErrorCode::UnknownJob,
-                    format!("no job {job}"),
-                ))
-            }
-        }
+        let event = |job, state| ServiceEvent::Status { job, state };
+        let snapshot = match st.known_job(job, Some(event)) {
+            Ok(entry) => entry.row.snapshot(),
+            Err(err) => return Response::Error(err),
+        };
+        st.record(event(job, snapshot.state.as_str().to_string()));
+        Response::Status(snapshot)
     }
 
     fn cancel(&self, job: u64) -> Response {
         let mut st = self.state.lock().unwrap();
         let step = st.steps;
-        let Some(entry) = st.queue.job_mut(job) else {
-            st.log.push(ServiceEvent::Cancel {
-                job,
-                outcome: ErrorCode::UnknownJob.name().to_string(),
-            });
-            return Response::Error(WireError::new(
-                ErrorCode::UnknownJob,
-                format!("no job {job}"),
-            ));
+        let event = |job, outcome| ServiceEvent::Cancel { job, outcome };
+        let entry = match st.known_job(job, Some(event)) {
+            Ok(entry) => entry,
+            Err(err) => return Response::Error(err),
         };
-        if entry.state.is_terminal() {
+        if entry.row.state.is_terminal() {
             let code = ErrorCode::JobTerminal;
-            let msg = format!("job {job} is already {}", entry.state.as_str());
-            st.log.push(ServiceEvent::Cancel {
-                job,
-                outcome: code.name().to_string(),
-            });
+            let msg = format!("job {job} is already {}", entry.row.state.as_str());
+            st.record(event(job, code.name().to_string()));
             return Response::Error(WireError::new(code, msg));
         }
         entry.cancel.cancel("client cancel");
         entry.cancel_requested = true;
-        let outcome = if entry.state == JobState::Running {
+        let outcome = if entry.row.state == JobState::Running {
             // A worker owns the slice; it observes the token and
             // terminalizes the job when the slice stops.
-            "pending".to_string()
+            "pending"
         } else {
             let had_checkpoint = entry.work.as_ref().is_some_and(|w| w.checkpoint.is_some());
-            entry.discarded_checkpoint = had_checkpoint;
-            entry.work = None;
-            entry.state = JobState::Cancelled;
-            entry.verdict = Some("cancelled".to_string());
-            entry.completed_step = Some(step);
+            entry.row.discarded_checkpoint = had_checkpoint;
+            st.queue.finish(job, Verdict::Cancelled, None, step);
             if had_checkpoint {
-                "cancelled (checkpoint discarded)".to_string()
+                "cancelled (checkpoint discarded)"
             } else {
-                "cancelled".to_string()
+                "cancelled"
             }
         };
-        st.log.push(ServiceEvent::Cancel {
-            job,
-            outcome: outcome.clone(),
-        });
+        st.record(event(job, outcome.to_string()));
         Response::Cancelled { job }
     }
 
@@ -485,57 +503,41 @@ impl Server {
         // The TTL sweep rides on every fetch, so expiry is observable
         // without waiting for the next job completion.
         self.sweep_retention(&mut st, now);
-        let Some(entry) = st.queue.job(job) else {
-            st.log.push(ServiceEvent::Fetch {
-                job,
-                outcome: ErrorCode::UnknownJob.name().to_string(),
-            });
-            return Response::Error(WireError::new(
-                ErrorCode::UnknownJob,
-                format!("no job {job}"),
-            ));
+        let event = |job, outcome| ServiceEvent::Fetch { job, outcome };
+        let entry = match st.known_job(job, Some(event)) {
+            Ok(entry) => entry,
+            Err(err) => return Response::Error(err),
         };
-        if !entry.state.is_terminal() {
-            let code = ErrorCode::JobNotTerminal;
-            let msg = format!("job {job} is {}", entry.state.as_str());
-            st.log.push(ServiceEvent::Fetch {
-                job,
-                outcome: code.name().to_string(),
-            });
-            return Response::Error(WireError::new(code, msg));
-        }
-        if entry.verdict.as_deref() == Some("job_poisoned") {
-            let msg = format!(
-                "job {job} crashed {} times and was quarantined",
-                entry.crash_recoveries
-            );
-            st.log.push(ServiceEvent::Fetch {
-                job,
-                outcome: ErrorCode::JobPoisoned.name().to_string(),
-            });
-            return Response::Error(WireError::new(ErrorCode::JobPoisoned, msg));
-        }
-        if entry.evicted {
-            let msg = format!("job {job}'s result left the retention store");
-            st.log.push(ServiceEvent::Fetch {
-                job,
-                outcome: ErrorCode::ResultEvicted.name().to_string(),
-            });
-            return Response::Error(WireError::new(ErrorCode::ResultEvicted, msg));
-        }
-        let verdict = entry.verdict.clone().unwrap_or_else(|| "failed".into());
-        let resp = Response::Result {
-            snapshot: Self::snapshot_of(entry),
-            verdict: verdict.clone(),
-            report: entry.report.clone(),
-            counterexample: entry.counterexample.clone(),
+        let (code, msg) = match entry.row.verdict {
+            None => (
+                ErrorCode::JobNotTerminal,
+                format!("job {job} is {}", entry.row.state.as_str()),
+            ),
+            Some(Verdict::JobPoisoned) => (
+                ErrorCode::JobPoisoned,
+                format!(
+                    "job {job} crashed {} times and was quarantined",
+                    entry.row.crash_recoveries
+                ),
+            ),
+            Some(_) if entry.row.evicted => (
+                ErrorCode::ResultEvicted,
+                format!("job {job}'s result left the retention store"),
+            ),
+            Some(verdict) => {
+                let resp = Response::Result {
+                    snapshot: entry.row.snapshot(),
+                    verdict: verdict.label().to_string(),
+                    report: entry.report.clone(),
+                    counterexample: entry.row.counterexample.clone(),
+                };
+                st.queue.touch_result(job, now);
+                st.record(event(job, verdict.label().to_string()));
+                return resp;
+            }
         };
-        st.queue.touch_result(job, now);
-        st.log.push(ServiceEvent::Fetch {
-            job,
-            outcome: verdict,
-        });
-        resp
+        st.record(event(job, code.name().to_string()));
+        Response::Error(WireError::new(code, msg))
     }
 
     /// Applies the retention policy and logs the evictions.
@@ -545,17 +547,15 @@ impl Server {
             self.config.retain_results,
             self.config.result_ttl_ns,
         ) {
-            st.log.push(ServiceEvent::Evict { job: evicted });
+            st.record(ServiceEvent::Evict { job: evicted });
         }
     }
 
     fn telemetry(&self, job: u64) -> Response {
         let mut st = self.state.lock().unwrap();
-        let Some(entry) = st.queue.job(job) else {
-            return Response::Error(WireError::new(
-                ErrorCode::UnknownJob,
-                format!("no job {job}"),
-            ));
+        let entry = match st.known_job(job, None) {
+            Ok(entry) => entry,
+            Err(err) => return Response::Error(err),
         };
         let mut snapshots = Vec::new();
         let mut reports = Vec::new();
@@ -565,7 +565,7 @@ impl Server {
                 TelemetryEvent::Report(r) => reports.push(*r),
             }
         }
-        st.log.push(ServiceEvent::Telemetry {
+        st.record(ServiceEvent::Telemetry {
             job,
             snapshots: snapshots.len() as u64,
             reports: reports.len() as u64,
@@ -590,7 +590,7 @@ impl Server {
             };
             st.steps += 1;
             let entry = st.queue.job_mut(id).expect("runnable job exists");
-            entry.state = JobState::Running;
+            entry.row.state = JobState::Running;
             let work = entry.work.take().expect("runnable job has work");
             (
                 id,
@@ -641,22 +641,16 @@ impl Server {
         let step = st.steps;
         let quarantine = self.config.crash_quarantine.max(1);
         let entry = st.queue.job_mut(id).expect("job exists");
-        let n = entry.slices + 1;
-        let outcome_label;
+        let n = entry.row.slices + 1;
         let mut slice_ns = None;
-        match result {
-            None => {
-                entry.state = JobState::Done;
-                entry.verdict = Some("budget_exceeded".to_string());
-                entry.completed_step = Some(step);
-                outcome_label = "budget_exceeded".to_string();
-            }
+        let (outcome_label, end) = match result {
+            None => (
+                Verdict::BudgetExceeded.label().to_string(),
+                Some((Verdict::BudgetExceeded, None)),
+            ),
             Some(SliceOutcome::Failed(e)) => {
-                entry.slices = n;
-                entry.state = JobState::Failed;
-                entry.verdict = Some("failed".to_string());
-                entry.completed_step = Some(step);
-                outcome_label = format!("failed ({e})");
+                entry.row.slices = n;
+                (format!("failed ({e})"), Some((Verdict::Failed, None)))
             }
             Some(SliceOutcome::Crashed { .. }) => {
                 // The engine streamed exactly one abort report for the
@@ -664,61 +658,52 @@ impl Server {
                 // conservation law (`reports == slices`) intact. The
                 // job's cumulative states stay at their pre-slice value:
                 // the crashed quantum's work is lost, nothing else.
-                entry.slices = n;
-                entry.crash_recoveries += 1;
-                let k = entry.crash_recoveries;
+                entry.row.slices = n;
+                entry.row.crash_recoveries += 1;
+                let k = entry.row.crash_recoveries;
                 if entry.cancel_requested {
-                    entry.discarded_checkpoint = recovery.is_some();
-                    entry.state = JobState::Cancelled;
-                    entry.verdict = Some("cancelled".to_string());
-                    entry.completed_step = Some(step);
-                    outcome_label = "cancelled (crashed slice)".to_string();
+                    entry.row.discarded_checkpoint = recovery.is_some();
+                    (
+                        "cancelled (crashed slice)".to_string(),
+                        Some((Verdict::Cancelled, None)),
+                    )
                 } else if k >= quarantine {
-                    entry.state = JobState::Failed;
-                    entry.verdict = Some("job_poisoned".to_string());
-                    entry.completed_step = Some(step);
-                    outcome_label = format!("job_poisoned ({k} crashes)");
+                    (
+                        format!("job_poisoned ({k} crashes)"),
+                        Some((Verdict::JobPoisoned, None)),
+                    )
                 } else {
                     work.checkpoint = recovery;
-                    entry.state = JobState::Parked;
-                    entry.work = Some(work);
-                    st.queue.requeue(id);
-                    outcome_label = format!("crashed (recovery {k}/{quarantine})");
+                    (format!("crashed (recovery {k}/{quarantine})"), None)
                 }
             }
             Some(SliceOutcome::Finished(report)) => {
-                entry.slices = n;
+                entry.row.slices = n;
                 let gained = report
                     .stats
                     .states_visited
-                    .saturating_sub(entry.states_visited);
-                entry.states_visited = report.stats.states_visited;
+                    .saturating_sub(entry.row.states_visited);
+                entry.row.states_visited = report.stats.states_visited;
                 slice_ns = Some(match &self.config.clock {
-                    Some(_) => gained.max(1).saturating_mul(self.config.tick_ns),
+                    Some(_) => gained.max(1).saturating_mul(TICK_NS),
                     None => slice_started.elapsed().as_nanos() as u64,
                 });
-                outcome_label = Self::integrate_slice(entry, &mut work, *report, cap, budget, step);
-                if entry.state == JobState::Parked {
-                    entry.work = Some(work);
-                    st.queue.requeue(id);
-                }
+                Self::integrate_slice(entry, &mut work, *report, cap, budget)
             }
+        };
+        let states = entry.row.states_visited;
+        let retain = matches!(end, Some((_, Some(_))));
+        match end {
+            None => st.queue.park(id, work),
+            Some((verdict, report)) => st.queue.finish(id, verdict, report, step),
         }
 
-        // Stamp the supervision counter onto the terminal report, log
-        // the slice, and run the result through the retention policy.
-        let entry = st.queue.job_mut(id).expect("job exists");
-        let recoveries = entry.crash_recoveries;
-        if let Some(report) = entry.report.as_mut() {
-            report.counters.crash_recoveries = recoveries;
-        }
-        let states = entry.states_visited;
-        let retain = entry.state.is_terminal() && entry.report.is_some();
+        // Log the slice and run the result through the retention policy.
         if let Some(ns) = slice_ns {
             st.slice_ns_total += ns;
             st.slices_timed += 1;
         }
-        st.log.push(ServiceEvent::Slice {
+        st.record(ServiceEvent::Slice {
             job: id,
             n,
             cap,
@@ -733,28 +718,20 @@ impl Server {
         true
     }
 
-    /// Classifies one finished slice and moves the job record; returns
-    /// the slice outcome label. Parking is signalled via
-    /// `JobState::Parked` (the caller re-attaches `work` and requeues).
+    /// Classifies one finished slice: the outcome label and how the job
+    /// leaves it. A parked checkpoint goes back into `work`.
     fn integrate_slice(
-        entry: &mut crate::queue::JobEntry,
+        entry: &mut JobEntry,
         work: &mut JobWork,
         report: Report,
         cap: u64,
         budget: u64,
-        step: u64,
-    ) -> String {
-        match report.outcome {
-            Outcome::Holds => {
-                entry.state = JobState::Done;
-                entry.verdict = Some("holds".to_string());
-                entry.report = Some(report.telemetry);
-                entry.completed_step = Some(step);
-                "holds".to_string()
-            }
-            Outcome::Violated(ref cex) => {
+    ) -> (String, SliceEnd) {
+        let verdict = match report.outcome {
+            Outcome::Holds => Verdict::Holds,
+            Outcome::Violated(cex) => {
                 let comp = work.verifier.composition();
-                entry.counterexample = Some(CexDigest {
+                entry.row.counterexample = Some(CexDigest {
                     values: cex
                         .valuation
                         .iter()
@@ -763,11 +740,7 @@ impl Server {
                     prefix_len: cex.prefix.len() as u64,
                     cycle_len: cex.cycle.len() as u64,
                 });
-                entry.state = JobState::Done;
-                entry.verdict = Some("violated".to_string());
-                entry.report = Some(report.telemetry);
-                entry.completed_step = Some(step);
-                "violated".to_string()
+                Verdict::Violated
             }
             Outcome::Inconclusive(inc) => match inc.reason {
                 AbortReason::StateBudget { max_states }
@@ -777,51 +750,37 @@ impl Server {
                         // The cancel raced the end of the slice: the token
                         // was raised after the last cancellation check.
                         // Honor it now and drop the checkpoint.
-                        entry.discarded_checkpoint = true;
-                        entry.state = JobState::Cancelled;
-                        entry.verdict = Some("cancelled".to_string());
-                        entry.report = Some(report.telemetry);
-                        entry.completed_step = Some(step);
-                        "cancelled (checkpoint discarded)".to_string()
-                    } else {
-                        work.checkpoint = inc.checkpoint;
-                        entry.state = JobState::Parked;
-                        "parked".to_string()
+                        entry.row.discarded_checkpoint = true;
+                        return (
+                            "cancelled (checkpoint discarded)".to_string(),
+                            Some((Verdict::Cancelled, Some(report.telemetry))),
+                        );
                     }
+                    work.checkpoint = inc.checkpoint;
+                    return ("parked".to_string(), None);
                 }
-                AbortReason::StateBudget { .. } => {
-                    // The cap was the job's own budget (or the engine
-                    // could not checkpoint): the job is out of states.
-                    entry.state = JobState::Done;
-                    entry.verdict = Some("budget_exceeded".to_string());
-                    entry.report = Some(report.telemetry);
-                    entry.completed_step = Some(step);
-                    "budget_exceeded".to_string()
-                }
+                // The cap was the job's own budget (or the engine could
+                // not checkpoint): the job is out of states.
+                AbortReason::StateBudget { .. } => Verdict::BudgetExceeded,
                 AbortReason::Cancelled { .. } => {
-                    entry.discarded_checkpoint = inc.checkpoint.is_some();
-                    entry.state = JobState::Cancelled;
-                    entry.verdict = Some("cancelled".to_string());
-                    entry.report = Some(report.telemetry);
-                    entry.completed_step = Some(step);
-                    "cancelled".to_string()
+                    entry.row.discarded_checkpoint = inc.checkpoint.is_some();
+                    Verdict::Cancelled
                 }
                 AbortReason::DeadlineExceeded { .. } if inc.checkpoint.is_some() => {
                     // The service arms no deadlines, but a client-supplied
                     // clock skew could still trip one: park and retry.
                     work.checkpoint = inc.checkpoint;
-                    entry.state = JobState::Parked;
-                    "parked".to_string()
+                    return ("parked".to_string(), None);
                 }
                 AbortReason::DeadlineExceeded { .. } | AbortReason::WorkerPanicked { .. } => {
-                    entry.state = JobState::Failed;
-                    entry.verdict = Some("failed".to_string());
-                    entry.report = Some(report.telemetry);
-                    entry.completed_step = Some(step);
-                    "failed".to_string()
+                    Verdict::Failed
                 }
             },
-        }
+        };
+        (
+            verdict.label().to_string(),
+            Some((verdict, Some(report.telemetry))),
+        )
     }
 
     fn slice_options(
@@ -837,11 +796,10 @@ impl Server {
         // its drawn ordinal *inside* the engine's expansion path — the
         // same path a genuine worker bug would take.
         let clock_hook = self.config.clock.clone();
-        let tick_ns = self.config.tick_ns;
         let fault_hook: Option<FaultHook> = if clock_hook.is_some() || crash_tick.is_some() {
             Some(Arc::new(move |tick: u64| {
                 if let Some(clock) = &clock_hook {
-                    clock.advance(tick_ns);
+                    clock.advance(TICK_NS);
                 }
                 if crash_tick == Some(tick) {
                     panic!("{INJECTED_PANIC} (injected worker crash at expansion {tick})");
@@ -890,23 +848,13 @@ impl Server {
     /// A summary row per job, in admission order.
     pub fn jobs(&self) -> Vec<JobSummary> {
         let st = self.state.lock().unwrap();
-        st.queue
-            .jobs()
-            .iter()
-            .map(|j| JobSummary {
-                job: j.id,
-                state: j.state,
-                slices: j.slices,
-                states_visited: j.states_visited,
-                verdict: j.verdict.clone(),
-                counterexample: j.counterexample.clone(),
-                submitted_step: j.submitted_step,
-                completed_step: j.completed_step,
-                discarded_checkpoint: j.discarded_checkpoint,
-                crash_recoveries: j.crash_recoveries,
-                evicted: j.evicted,
-            })
-            .collect()
+        st.queue.jobs().iter().map(|j| j.row.clone()).collect()
+    }
+
+    /// The summary row of one job, if it exists.
+    pub fn job(&self, id: u64) -> Option<JobSummary> {
+        let st = self.state.lock().unwrap();
+        st.queue.job(id).map(|j| j.row.clone())
     }
 
     /// Number of results the retention store currently holds.
@@ -972,33 +920,6 @@ impl WorkerPool {
             let _ = h.join();
         }
     }
-}
-
-/// One row of [`Server::jobs`].
-#[derive(Clone, Debug)]
-pub struct JobSummary {
-    /// The job id.
-    pub job: u64,
-    /// Scheduling state.
-    pub state: JobState,
-    /// Quanta executed.
-    pub slices: u64,
-    /// Cumulative visited states.
-    pub states_visited: u64,
-    /// Terminal verdict label.
-    pub verdict: Option<String>,
-    /// Counterexample digest on `violated`.
-    pub counterexample: Option<CexDigest>,
-    /// Scheduler step count at admission.
-    pub submitted_step: u64,
-    /// Scheduler step count at the terminal transition.
-    pub completed_step: Option<u64>,
-    /// Whether a cancel discarded a parked checkpoint.
-    pub discarded_checkpoint: bool,
-    /// Crashed slices the supervisor absorbed and re-dispatched.
-    pub crash_recoveries: u64,
-    /// Whether the retention store evicted this job's result.
-    pub evicted: bool,
 }
 
 // ---------------------------------------------------------------------
@@ -1153,7 +1074,7 @@ mod tests {
         assert!(quanta >= 1);
         let row = &server.jobs()[job as usize];
         assert_eq!(row.state, JobState::Done);
-        assert_eq!(row.verdict.as_deref(), Some("holds"));
+        assert_eq!(row.verdict, Some(Verdict::Holds));
         match roundtrip(&server, 2, &Request::FetchResult { job }) {
             Response::Result {
                 verdict, report, ..
@@ -1196,10 +1117,7 @@ mod tests {
             other => panic!("unexpected fetch response: {other:?}"),
         }
         assert!(server.canonical_log().contains("nests deeper than"));
-        assert_eq!(
-            server.jobs()[next as usize].verdict.as_deref(),
-            Some("holds")
-        );
+        assert_eq!(server.jobs()[next as usize].verdict, Some(Verdict::Holds));
     }
 
     #[test]
@@ -1208,7 +1126,7 @@ mod tests {
         let job = submit_scenario(&server, 1, "drop_audit", 100_000);
         server.drain();
         let row = &server.jobs()[job as usize];
-        assert_eq!(row.verdict.as_deref(), Some("violated"));
+        assert_eq!(row.verdict, Some(Verdict::Violated));
         assert!(row.counterexample.is_some());
     }
 
@@ -1241,7 +1159,7 @@ mod tests {
         server.drain();
         let row = &server.jobs()[job as usize];
         assert_eq!(row.state, JobState::Done);
-        assert_eq!(row.verdict.as_deref(), Some("budget_exceeded"));
+        assert_eq!(row.verdict, Some(Verdict::BudgetExceeded));
         // The engines check the budget after admitting a state, so a
         // stopped run overshoots its cap by at most one.
         assert!(row.states_visited <= 201);
@@ -1292,7 +1210,7 @@ mod tests {
         let job = submit_scenario(&clean, 1, "drop_audit", 100_000);
         clean.drain();
         let oracle = clean.jobs()[job as usize].clone();
-        assert_eq!(oracle.verdict.as_deref(), Some("violated"));
+        assert_eq!(oracle.verdict, Some(Verdict::Violated));
         assert!(oracle.slices >= 2, "small quantum forces several slices");
 
         // …then a chaos run crashes roughly every other slice. The
@@ -1333,7 +1251,7 @@ mod tests {
         server.drain();
         let row = &server.jobs()[job as usize];
         assert_eq!(row.state, JobState::Failed);
-        assert_eq!(row.verdict.as_deref(), Some("job_poisoned"));
+        assert_eq!(row.verdict, Some(Verdict::JobPoisoned));
         assert_eq!(row.crash_recoveries, 3);
         assert_eq!(row.slices, 3);
         match roundtrip(&server, 2, &Request::FetchResult { job }) {
@@ -1500,8 +1418,32 @@ mod tests {
         pool.shutdown();
         let rows = server.jobs();
         assert_eq!(rows[wedged as usize].state, JobState::Cancelled);
-        assert_eq!(rows[wedged as usize].verdict.as_deref(), Some("cancelled"));
-        assert_eq!(rows[next as usize].verdict.as_deref(), Some("holds"));
+        assert_eq!(rows[wedged as usize].verdict, Some(Verdict::Cancelled));
+        assert_eq!(rows[next as usize].verdict, Some(Verdict::Holds));
+    }
+
+    #[test]
+    fn polls_are_logged_only_on_a_virtual_clock() {
+        for (config, lines_per_poll) in [
+            (ServerConfig::default(), 0),
+            (ServerConfig::deterministic(8, 64), 1),
+        ] {
+            let server = Server::new(config);
+            let job = submit_scenario(&server, 1, "req_resp", 100_000);
+            server.drain();
+            let before = server.canonical_log().lines().count();
+            for i in 0..1_000 {
+                roundtrip(&server, 2 * i + 2, &Request::JobStatus { job });
+                match roundtrip(&server, 2 * i + 3, &Request::FetchResult { job }) {
+                    Response::Result { verdict, .. } => assert_eq!(verdict, "holds"),
+                    other => panic!("unexpected fetch response: {other:?}"),
+                }
+            }
+            assert_eq!(
+                server.canonical_log().lines().count(),
+                before + 2_000 * lines_per_poll
+            );
+        }
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub mod sim;
 
 pub use event::{canonical_trace, SimEvent};
 pub use service::{
-    fairness_violations, run_service_seed, run_service_seed_with_override,
+    fairness_violations, lifecycle_violations, run_service_seed, run_service_seed_with_override,
     shrink_service_violation, ChaosTransport, ServiceBug, ServiceJob, ServiceRun,
     ServiceSimOptions,
 };

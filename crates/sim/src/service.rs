@@ -23,7 +23,11 @@
 //! * **fairness** — strict round-robin: between two consecutive slices
 //!   of any job, every other job runs at most once, so a pathological
 //!   tenant (the `starver` scenario) delays nobody by more than one
-//!   full round of quanta.
+//!   full round of quanta;
+//! * **lifecycle** — on every server row, terminal state, verdict and
+//!   completion step appear together, and the verdict fixes the state
+//!   (`holds`/`violated`/`budget_exceeded` ⇒ `done`, `cancelled` ⇒
+//!   `cancelled`, `failed`/`job_poisoned` ⇒ `failed`).
 //!
 //! ## Wire-level chaos
 //!
@@ -52,8 +56,8 @@
 use crate::sim::ShrunkFailure;
 use ddws_server::{
     decode_response, encode_request, CexDigest, ClientError, ClientSession, CrashInjector,
-    ErrorCode, JobOptions, JobSpec, Request, Response, RetryPolicy, Server, ServerConfig,
-    Transport, DEFAULT_CRASH_QUARANTINE,
+    ErrorCode, JobOptions, JobSpec, JobState, JobSummary, Request, Response, RetryPolicy, Server,
+    ServerConfig, Transport, Verdict, DEFAULT_CRASH_QUARANTINE,
 };
 use ddws_testkit::compgen::{self, CaseSpec};
 use ddws_testkit::contract;
@@ -137,7 +141,7 @@ impl Default for ServiceSimOptions {
     }
 }
 
-/// One submitted job's record, service-side state joined with the
+/// One submitted job's record: the server's row joined with the
 /// client-side bookkeeping and the oracle's answer.
 #[derive(Clone, Debug)]
 pub struct ServiceJob {
@@ -146,40 +150,31 @@ pub struct ServiceJob {
     /// Draw-order index (stable across lost submissions; the shrink
     /// override targets this).
     pub source: usize,
-    /// Wire job id.
-    pub job: u64,
     /// The compgen spec (absent for scenario jobs).
     pub spec: Option<CaseSpec>,
     /// The scenario name (absent for spec jobs).
     pub scenario: Option<String>,
-    /// The served verdict label.
-    pub verdict: Option<String>,
+    /// The server's row, as of the job's fetch. When `row.evicted`, the
+    /// fetch answered `result_evicted`: the verdict then comes from the
+    /// row and the digest is gone.
+    pub row: JobSummary,
+    /// The served verdict.
+    pub verdict: Option<Verdict>,
     /// The oracle's verdict label (not run for cancelled jobs).
     pub oracle: Option<String>,
     /// Served counterexample digest, on `violated`.
     pub counterexample: Option<CexDigest>,
     /// Oracle counterexample digest, on `violated`.
     pub oracle_counterexample: Option<CexDigest>,
-    /// Slices executed.
-    pub slices: u64,
-    /// Cumulative visited states.
-    pub states_visited: u64,
-    /// Scheduler step at admission.
-    pub submitted_step: u64,
-    /// Scheduler step at the terminal transition.
-    pub completed_step: Option<u64>,
-    /// Whether the job was cancelled.
-    pub cancelled: bool,
-    /// Whether the cancel discarded a parked checkpoint.
-    pub discarded_checkpoint: bool,
     /// Run reports drained from the job's telemetry stream.
     pub reports: u64,
-    /// Crashed slices the supervisor absorbed and re-dispatched.
-    pub crash_recoveries: u64,
-    /// Whether the retention store evicted this job's result before the
-    /// fetch (the verdict then comes from the job row; the digest is
-    /// gone).
-    pub evicted: bool,
+}
+
+impl ServiceJob {
+    /// Whether the served verdict is `cancelled`.
+    pub fn cancelled(&self) -> bool {
+        self.verdict == Some(Verdict::Cancelled)
+    }
 }
 
 /// The result of one seeded service simulation.
@@ -382,7 +377,6 @@ fn run_service_impl(
                 opts.quantum_states.max(1),
             ))
         }),
-        ..ServerConfig::default()
     });
 
     // -------------------------------------------------------------
@@ -489,10 +483,9 @@ fn run_service_impl(
         if let Some((idx, after_slices)) = cancel_plan {
             if !cancel_sent {
                 if let Some(job) = jobs.iter().find(|j| j.source == idx) {
-                    let rows = server.jobs();
-                    let row = &rows[job.job as usize];
+                    let row = server.job(job.row.job).expect("accepted job has a row");
                     if !row.state.is_terminal() && row.slices >= after_slices {
-                        let req = Request::CancelJob { job: job.job };
+                        let req = Request::CancelJob { job: row.job };
                         if wire_chaos {
                             // A duplicated or retried cancel can land on
                             // an already-terminal job; that typed answer
@@ -550,7 +543,7 @@ fn run_service_impl(
                 jobs.push(ServiceJob {
                     client,
                     source,
-                    job,
+                    row: server.job(job).expect("accepted job has a row"),
                     spec: match &spec {
                         JobSpec::Spec(cs) => Some(cs.clone()),
                         JobSpec::Scenario(_) => None,
@@ -563,15 +556,7 @@ fn run_service_impl(
                     oracle: None,
                     counterexample: None,
                     oracle_counterexample: None,
-                    slices: 0,
-                    states_visited: 0,
-                    submitted_step: 0,
-                    completed_step: None,
-                    cancelled: false,
-                    discarded_checkpoint: false,
                     reports: 0,
-                    crash_recoveries: 0,
-                    evicted: false,
                 });
             }
             submitted += 1;
@@ -584,7 +569,7 @@ fn run_service_impl(
             if !jobs.is_empty() && rng.chance(1, 8) {
                 let pick = rng.below(jobs.len() as u64) as usize;
                 let req = Request::JobStatus {
-                    job: jobs[pick].job,
+                    job: jobs[pick].row.job,
                 };
                 if wire_chaos {
                     transport.skew_ns = opts.skew_ns * jobs[pick].client as u64;
@@ -598,11 +583,13 @@ fn run_service_impl(
                 let target = &mut jobs[pick];
                 if let Response::Telemetry { reports, .. } = send(
                     &server,
-                    &Request::StreamTelemetry { job: target.job },
+                    &Request::StreamTelemetry {
+                        job: target.row.job,
+                    },
                     &mut next_request_id,
                 ) {
                     target.reports += reports.len() as u64;
-                    check_reports(&reports, target.job, &mut violations);
+                    check_reports(&reports, target.row.job, &mut violations);
                 }
             }
             server.step();
@@ -614,38 +601,31 @@ fn run_service_impl(
     // Collection phase: fetch every result over the wire, drain the
     // remaining telemetry, and interrogate the oracle.
     // -------------------------------------------------------------
-    let rows = server.jobs();
     for job in &mut jobs {
-        let row = &rows[job.job as usize];
-        job.slices = row.slices;
-        job.states_visited = row.states_visited;
-        job.submitted_step = row.submitted_step;
-        job.completed_step = row.completed_step;
-        job.discarded_checkpoint = row.discarded_checkpoint;
-        job.crash_recoveries = row.crash_recoveries;
+        let id = job.row.job;
+        let row = server.job(id).expect("accepted job has a row");
         if !row.state.is_terminal() {
-            let msg = format!("job {} not terminal: {:?}", job.job, row.state);
+            let msg = format!("job {id} not terminal: {:?}", row.state);
+            job.row = row;
             attributed.push((job.source, msg.clone()));
             violations.push(msg);
             continue;
         }
         if let Response::Telemetry { reports, .. } = send(
             &server,
-            &Request::StreamTelemetry { job: job.job },
+            &Request::StreamTelemetry { job: id },
             &mut next_request_id,
         ) {
             job.reports += reports.len() as u64;
-            check_reports(&reports, job.job, &mut violations);
+            check_reports(&reports, id, &mut violations);
         }
         let fetched: Option<Response> = if wire_chaos {
             transport.skew_ns = opts.skew_ns * job.client as u64;
-            match sessions[job.client]
-                .request(&mut transport, &Request::FetchResult { job: job.job })
-            {
+            match sessions[job.client].request(&mut transport, &Request::FetchResult { job: id }) {
                 Ok(resp) => Some(resp),
                 Err(ClientError::Service(err)) => Some(Response::Error(err)),
                 Err(e) => {
-                    let msg = format!("fetch({}) lost to the wire: {e}", job.job);
+                    let msg = format!("fetch({id}) lost to the wire: {e}");
                     attributed.push((job.source, msg.clone()));
                     violations.push(msg);
                     None
@@ -654,10 +634,12 @@ fn run_service_impl(
         } else {
             Some(send(
                 &server,
-                &Request::FetchResult { job: job.job },
+                &Request::FetchResult { job: id },
                 &mut next_request_id,
             ))
         };
+        // The fetch's retention sweep may have evicted this very result.
+        job.row = server.job(id).expect("accepted job has a row");
         let Some(fetched) = fetched else {
             continue;
         };
@@ -667,23 +649,25 @@ fn run_service_impl(
                 counterexample,
                 ..
             } => {
-                job.cancelled = verdict == "cancelled";
-                job.verdict = Some(verdict);
+                job.verdict = Verdict::parse(&verdict);
+                if job.verdict.is_none() {
+                    let msg = format!("fetch({id}) served unknown verdict {verdict:?}");
+                    attributed.push((job.source, msg.clone()));
+                    violations.push(msg);
+                }
                 job.counterexample = counterexample;
             }
             // The two typed terminal answers of the robustness contract:
             // quarantined crash loops and reclaimed results. Both are
             // healthy outcomes, not violations.
             Response::Error(err) if err.code == ErrorCode::JobPoisoned => {
-                job.verdict = Some("job_poisoned".to_string());
+                job.verdict = Some(Verdict::JobPoisoned);
             }
             Response::Error(err) if err.code == ErrorCode::ResultEvicted => {
-                job.evicted = true;
-                job.verdict = row.verdict.clone();
-                job.cancelled = row.verdict.as_deref() == Some("cancelled");
+                job.verdict = job.row.verdict;
             }
             other => {
-                let msg = format!("fetch({}) answered {other:?}", job.job);
+                let msg = format!("fetch({id}) answered {other:?}");
                 attributed.push((job.source, msg.clone()));
                 violations.push(msg);
             }
@@ -693,26 +677,26 @@ fn run_service_impl(
         // report. A cancel that lands between slices terminalizes
         // without a final slice, so the bound is exact for uncancelled
         // jobs.
-        if !job.cancelled && job.reports != job.slices {
+        if !job.cancelled() && job.reports != job.row.slices {
             let msg = format!(
-                "job {}: {} slices but {} streamed reports",
-                job.job, job.slices, job.reports
+                "job {id}: {} slices but {} streamed reports",
+                job.row.slices, job.reports
             );
             attributed.push((job.source, msg.clone()));
             violations.push(msg);
         }
 
-        if job.cancelled {
+        if job.cancelled() {
             continue;
         }
         if opts.bug == Some(ServiceBug::FlipVerdict) {
-            job.verdict = match job.verdict.as_deref() {
-                Some("holds") => Some("violated".to_string()),
-                Some("violated") => Some("holds".to_string()),
-                other => other.map(str::to_string),
-            };
+            job.verdict = job.verdict.map(|v| match v {
+                Verdict::Holds => Verdict::Violated,
+                Verdict::Violated => Verdict::Holds,
+                other => other,
+            });
         }
-        if job.verdict.as_deref() == Some("job_poisoned") {
+        if job.verdict == Some(Verdict::JobPoisoned) {
             // Quarantine is the injector's doing, not the case's; there
             // is no oracle for a job the chaos never let finish.
             continue;
@@ -728,20 +712,18 @@ fn run_service_impl(
         };
         match oracle_verdict(&case, &options) {
             Ok((verdict, digest)) => {
-                if job.verdict.as_deref() != Some(verdict.as_str()) {
-                    let msg = format!(
-                        "job {}: served {:?}, oracle {verdict:?}",
-                        job.job, job.verdict
-                    );
+                let served = job.verdict.map(Verdict::label);
+                if served != Some(verdict.as_str()) {
+                    let msg = format!("job {id}: served {served:?}, oracle {verdict:?}");
                     attributed.push((job.source, msg.clone()));
                     violations.push(msg);
                 }
                 // Eviction reclaims the counterexample with the report,
                 // so only the verdict remains comparable.
-                if !job.evicted && digest != job.counterexample {
+                if !job.row.evicted && digest != job.counterexample {
                     let msg = format!(
-                        "job {}: served counterexample {:?}, oracle {:?}",
-                        job.job, job.counterexample, digest
+                        "job {id}: served counterexample {:?}, oracle {:?}",
+                        job.counterexample, digest
                     );
                     attributed.push((job.source, msg.clone()));
                     violations.push(msg);
@@ -750,7 +732,7 @@ fn run_service_impl(
                 job.oracle_counterexample = digest;
             }
             Err(e) => {
-                let msg = format!("job {}: {e}", job.job);
+                let msg = format!("job {id}: {e}");
                 attributed.push((job.source, msg.clone()));
                 violations.push(msg);
             }
@@ -761,12 +743,13 @@ fn run_service_impl(
     // of the canonical log.
     let trace = server.canonical_log();
     violations.extend(fairness_violations(&trace));
+    violations.extend(lifecycle_violations(&server.jobs()));
 
     ServiceRun {
         seed,
         redacted_reports: ddws_server::redacted_reports(&server),
         trace,
-        crash_recoveries: jobs.iter().map(|j| j.crash_recoveries).sum(),
+        crash_recoveries: jobs.iter().map(|j| j.row.crash_recoveries).sum(),
         wire_faults: transport.faults,
         jobs,
         violations,
@@ -858,6 +841,42 @@ pub fn fairness_violations(trace: &str) -> Vec<String> {
             }
         }
         last_seen.insert(job, i);
+    }
+    violations
+}
+
+/// The job-lifecycle law, on the server's rows: terminal state, verdict
+/// and completion step appear together, and the verdict fixes the
+/// terminal state.
+pub fn lifecycle_violations(rows: &[JobSummary]) -> Vec<String> {
+    let mut violations = Vec::new();
+    for row in rows {
+        let terminal = row.state.is_terminal();
+        if row.verdict.is_some() != terminal || row.completed_step.is_some() != terminal {
+            violations.push(format!(
+                "lifecycle: job {} is {} with verdict {:?} and completed_step {:?}",
+                row.job,
+                row.state.as_str(),
+                row.verdict,
+                row.completed_step
+            ));
+        }
+        let Some(verdict) = row.verdict else {
+            continue;
+        };
+        let expected = match verdict {
+            Verdict::Holds | Verdict::Violated | Verdict::BudgetExceeded => JobState::Done,
+            Verdict::Cancelled => JobState::Cancelled,
+            Verdict::Failed | Verdict::JobPoisoned => JobState::Failed,
+        };
+        if row.state != expected {
+            violations.push(format!(
+                "lifecycle: job {} has verdict {} but state {}",
+                row.job,
+                verdict.label(),
+                row.state.as_str()
+            ));
+        }
     }
     violations
 }

@@ -191,7 +191,7 @@ pub fn reduce_to_single_peer(comp: &Composition) -> Result<ReducedSystem, Reduct
 
     // Rules. Build the body translator first: it needs the full name map.
     let translate = |peer_name: &str, fo: &Fo| -> String {
-        let guarded = translate_body(comp, fo);
+        let guarded = render_fo(comp, fo, &HashMap::new());
         format!("sched(\"#{peer_name}\") and ({guarded})")
     };
 
@@ -208,7 +208,8 @@ pub fn reduce_to_single_peer(comp: &Composition) -> Result<ReducedSystem, Reduct
             }
             let head: Vec<String> = head_names(comp, &rule.head);
             let head_refs: Vec<&str> = head.iter().map(String::as_str).collect();
-            sys.input_rule(&local, &head_refs, &translate_body(comp, &rule.body));
+            let body = render_fo(comp, &rule.body, &HashMap::new());
+            sys.input_rule(&local, &head_refs, &body);
         }
 
         // State rules.
@@ -293,7 +294,7 @@ pub fn reduce_to_single_peer(comp: &Composition) -> Result<ReducedSystem, Reduct
                 .copied()
                 .zip(canon.iter().cloned())
                 .collect();
-            let body = render_fo_renamed(comp, &rule.body, &rename);
+            let body = render_fo(comp, &rule.body, &rename);
 
             // What lands in the queue this step, as a formula over the
             // canonical variables.
@@ -533,123 +534,31 @@ fn channel_of(comp: &Composition, rel: RelId, incoming: bool) -> Option<&Channel
     })
 }
 
-/// Translates a rule body into source text over the reduced namespace.
-/// (Rewriting to `RelId`s directly is impossible before the reduced
-/// composition exists, so bodies round-trip through the parser.)
-fn translate_body(comp: &Composition, fo: &Fo) -> String {
-    render_fo(comp, fo)
-}
-
-/// Renders a formula over the original schema as source text in the reduced
-/// namespace, renaming the given free variables (used to canonicalize slot
-/// rule heads). Bound variables keep their names; original specifications
-/// never use the reserved `rv__` prefix, so capture is impossible.
-fn render_fo_renamed(comp: &Composition, fo: &Fo, rename: &HashMap<VarId, String>) -> String {
-    // Bound variables shadow renames.
-    fn go(comp: &Composition, fo: &Fo, rename: &HashMap<VarId, String>) -> String {
-        match fo {
-            Fo::Exists(vs, g) | Fo::Forall(vs, g) => {
-                let mut inner = rename.clone();
-                for v in vs {
-                    inner.remove(v);
-                }
-                let kw = if matches!(fo, Fo::Exists(..)) {
-                    "exists"
-                } else {
-                    "forall"
-                };
-                let names: Vec<&str> = vs.iter().map(|&v| comp.vars.name(v)).collect();
-                format!("({kw} {}: {})", names.join(", "), go(comp, g, &inner))
-            }
-            Fo::True => "true".into(),
-            Fo::False => "false".into(),
-            Fo::Eq(a, b) => format!(
-                "{} = {}",
-                render_term_renamed(comp, a, rename),
-                render_term_renamed(comp, b, rename)
-            ),
-            Fo::Atom(..) => {
-                // Delegate to render_fo's atom logic but with renamed terms:
-                // easiest is to rebuild the atom text here.
-                render_atom_renamed(comp, fo, rename)
-            }
-            Fo::Not(g) => format!("not ({})", go(comp, g, rename)),
-            Fo::And(gs) => {
-                if gs.is_empty() {
-                    "true".into()
-                } else {
-                    gs.iter()
-                        .map(|g| format!("({})", go(comp, g, rename)))
-                        .collect::<Vec<_>>()
-                        .join(" and ")
-                }
-            }
-            Fo::Or(gs) => {
-                if gs.is_empty() {
-                    "false".into()
-                } else {
-                    gs.iter()
-                        .map(|g| format!("({})", go(comp, g, rename)))
-                        .collect::<Vec<_>>()
-                        .join(" or ")
-                }
-            }
-            Fo::Implies(a, b) => {
-                format!("({}) -> ({})", go(comp, a, rename), go(comp, b, rename))
-            }
+/// Renders a rule body over the original schema as source text in the
+/// reduced namespace, renaming the given free variables (used to
+/// canonicalize slot rule heads). Rewriting to `RelId`s directly is
+/// impossible before the reduced composition exists, so bodies round-trip
+/// through the parser. Bound variables shadow renames; original
+/// specifications never use the reserved `rv__` prefix, so capture is
+/// impossible.
+fn render_fo(comp: &Composition, fo: &Fo, rename: &HashMap<VarId, String>) -> String {
+    let nary = |gs: &[Fo], op: &str, empty: &str| {
+        if gs.is_empty() {
+            return empty.to_owned();
         }
-    }
-    go(comp, fo, rename)
-}
-
-fn render_term_renamed(comp: &Composition, t: &Term, rename: &HashMap<VarId, String>) -> String {
-    match t {
-        Term::Var(v) => rename
-            .get(v)
-            .cloned()
-            .unwrap_or_else(|| comp.vars.name(*v).to_owned()),
-        Term::Const(c) => format!("\"{}\"", comp.symbols.name(*c)),
-    }
-}
-
-fn render_atom_renamed(comp: &Composition, fo: &Fo, rename: &HashMap<VarId, String>) -> String {
-    let Fo::Atom(rel, args) = fo else {
-        unreachable!()
+        gs.iter()
+            .map(|g| format!("({})", render_fo(comp, g, rename)))
+            .collect::<Vec<_>>()
+            .join(op)
     };
-    use ddws_logic::input_bounded::RelClass::*;
-    let name = match comp.class(*rel) {
-        InFlat | InNested => {
-            let ch = channel_of(comp, *rel, true).expect("in-queue atom has a channel");
-            slot_name(ch, 0)
-        }
-        QueueState => {
-            let ch = comp
-                .channels
-                .iter()
-                .find(|c| c.empty_rel == Some(*rel))
-                .expect("queue state has a channel");
-            return format!("not {}", has_name(ch, 0));
-        }
-        _ => reduced_name(comp, *rel),
-    };
-    if args.is_empty() {
-        name
-    } else {
-        let rendered: Vec<String> = args
-            .iter()
-            .map(|t| render_term_renamed(comp, t, rename))
-            .collect();
-        format!("{name}({})", rendered.join(", "))
-    }
-}
-
-/// Renders a formula over the original schema as source text in the reduced
-/// namespace.
-fn render_fo(comp: &Composition, fo: &Fo) -> String {
     match fo {
         Fo::True => "true".into(),
         Fo::False => "false".into(),
-        Fo::Eq(a, b) => format!("{} = {}", render_term(comp, a), render_term(comp, b)),
+        Fo::Eq(a, b) => format!(
+            "{} = {}",
+            render_term(comp, a, rename),
+            render_term(comp, b, rename)
+        ),
         Fo::Atom(rel, args) => {
             use ddws_logic::input_bounded::RelClass::*;
             let name = match comp.class(*rel) {
@@ -663,46 +572,128 @@ fn render_fo(comp: &Composition, fo: &Fo) -> String {
                         .iter()
                         .find(|c| c.empty_rel == Some(*rel))
                         .expect("queue state has a channel");
-                    let inner = has_name(ch, 0);
-                    // empty_q ≡ ¬q_has0; handled via wrapper below.
-                    return format!("not {inner}");
+                    // empty_q ≡ ¬q_has0.
+                    return format!("not {}", has_name(ch, 0));
                 }
                 _ => reduced_name(comp, *rel),
             };
             if args.is_empty() {
                 name
             } else {
-                let rendered: Vec<String> = args.iter().map(|t| render_term(comp, t)).collect();
+                let rendered: Vec<String> =
+                    args.iter().map(|t| render_term(comp, t, rename)).collect();
                 format!("{name}({})", rendered.join(", "))
             }
         }
-        Fo::Not(g) => format!("not ({})", render_fo(comp, g)),
-        Fo::And(gs) => render_nary(comp, gs, "and", "true"),
-        Fo::Or(gs) => render_nary(comp, gs, "or", "false"),
-        Fo::Implies(a, b) => format!("({}) -> ({})", render_fo(comp, a), render_fo(comp, b)),
-        Fo::Exists(vs, g) => render_quant(comp, "exists", vs, g),
-        Fo::Forall(vs, g) => render_quant(comp, "forall", vs, g),
+        Fo::Not(g) => format!("not ({})", render_fo(comp, g, rename)),
+        Fo::And(gs) => nary(gs, " and ", "true"),
+        Fo::Or(gs) => nary(gs, " or ", "false"),
+        Fo::Implies(a, b) => format!(
+            "({}) -> ({})",
+            render_fo(comp, a, rename),
+            render_fo(comp, b, rename)
+        ),
+        Fo::Exists(vs, g) | Fo::Forall(vs, g) => {
+            let kw = if matches!(fo, Fo::Exists(..)) {
+                "exists"
+            } else {
+                "forall"
+            };
+            let mut inner = rename.clone();
+            for v in vs {
+                inner.remove(v);
+            }
+            let names: Vec<&str> = vs.iter().map(|&v| comp.vars.name(v)).collect();
+            format!(
+                "({kw} {}: {})",
+                names.join(", "),
+                render_fo(comp, g, &inner)
+            )
+        }
     }
 }
 
-fn render_nary(comp: &Composition, gs: &[Fo], op: &str, empty: &str) -> String {
-    if gs.is_empty() {
-        return empty.into();
-    }
-    gs.iter()
-        .map(|g| format!("({})", render_fo(comp, g)))
-        .collect::<Vec<_>>()
-        .join(&format!(" {op} "))
-}
-
-fn render_quant(comp: &Composition, kw: &str, vs: &[VarId], g: &Fo) -> String {
-    let names: Vec<&str> = vs.iter().map(|&v| comp.vars.name(v)).collect();
-    format!("({kw} {}: {})", names.join(", "), render_fo(comp, g))
-}
-
-fn render_term(comp: &Composition, t: &Term) -> String {
+fn render_term(comp: &Composition, t: &Term, rename: &HashMap<VarId, String>) -> String {
     match t {
-        Term::Var(v) => comp.vars.name(*v).to_owned(),
+        Term::Var(v) => rename
+            .get(v)
+            .cloned()
+            .unwrap_or_else(|| comp.vars.name(*v).to_owned()),
         Term::Const(c) => format!("\"{}\"", comp.symbols.name(*c)),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ddws_logic::Term::{Const, Var};
+
+    /// Alice sends `ping` to Bob over a flat queue.
+    fn ping() -> Composition {
+        let mut b = CompositionBuilder::new();
+        b.channel("ping", 1, QueueKind::Flat, "Alice", "Bob");
+        b.peer("Alice")
+            .database("friend", 1)
+            .input("greet", 1)
+            .input_rule("greet", &["x"], "friend(x)")
+            .send_rule("ping", &["x"], "greet(x)");
+        b.peer("Bob")
+            .state("seen", 1)
+            .state_insert_rule("seen", &["x"], "?ping(x)");
+        b.build().expect("ping composition")
+    }
+
+    #[test]
+    fn rule_bodies_render_golden_over_every_connective() {
+        let mut comp = ping();
+        let rel = |name: &str| comp.voc.lookup(name).expect(name);
+        let (friend, seen, inq, empty) = (
+            rel("Alice.friend"),
+            rel("Bob.seen"),
+            rel("Bob.?ping"),
+            rel("Bob.empty_ping"),
+        );
+        let (x, y) = (comp.vars.intern("x"), comp.vars.intern("y"));
+        let a = comp.symbols.intern("a");
+        let fo = Fo::Forall(
+            vec![x],
+            Box::new(Fo::Implies(
+                Box::new(Fo::And(vec![
+                    Fo::Atom(inq, vec![Var(x)]),
+                    Fo::Not(Box::new(Fo::Atom(empty, vec![]))),
+                ])),
+                Box::new(Fo::Or(vec![
+                    Fo::Exists(
+                        vec![y],
+                        Box::new(Fo::And(vec![
+                            Fo::Atom(friend, vec![Var(y)]),
+                            Fo::Eq(Var(y), Var(x)),
+                        ])),
+                    ),
+                    Fo::Atom(seen, vec![Const(a)]),
+                    Fo::And(vec![]),
+                    Fo::Or(vec![]),
+                    Fo::True,
+                    Fo::False,
+                ])),
+            )),
+        );
+        assert_eq!(
+            render_fo(&comp, &fo, &HashMap::new()),
+            "(forall x: ((q_ping_slot0(x)) and (not (not q_ping_has0))) -> \
+             (((exists y: (Alice_friend(y)) and (y = x))) or (Bob_seen(\"a\")) \
+             or (true) or (false) or (true) or (false)))"
+        );
+        // A rename applies to free occurrences only: the quantifier binds
+        // `x` again, and `y` stays free.
+        let open = Fo::And(vec![
+            Fo::Atom(friend, vec![Var(x)]),
+            Fo::Exists(vec![x], Box::new(Fo::Eq(Var(x), Var(y)))),
+        ]);
+        let rename = HashMap::from([(x, "rv__0".to_string())]);
+        assert_eq!(
+            render_fo(&comp, &open, &rename),
+            "(Alice_friend(rv__0)) and ((exists x: x = y))"
+        );
     }
 }

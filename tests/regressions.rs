@@ -10,6 +10,7 @@
 
 mod common;
 
+use ddws_server::Verdict;
 use ddws_testkit::rng::XorShift;
 
 /// Sub-seeds pinned from past swarm runs (plus a few hand-picked values
@@ -288,16 +289,16 @@ fn pinned_server_cancel_seed_stays_green() {
         Vec::<String>::new(),
         "seed {SERVER_CANCEL_MID_RUN} violated"
     );
-    let cancelled: Vec<_> = run.jobs.iter().filter(|j| j.cancelled).collect();
+    let cancelled: Vec<_> = run.jobs.iter().filter(|j| j.cancelled()).collect();
     assert_eq!(cancelled.len(), 1, "exactly one planned cancel");
     let job = cancelled[0];
-    assert_eq!(job.verdict.as_deref(), Some("cancelled"));
+    assert_eq!(job.verdict, Some(Verdict::Cancelled));
     assert!(
-        job.slices >= 1,
+        job.row.slices >= 1,
         "cancel no longer lands mid-run (0 slices executed)"
     );
     assert!(
-        job.discarded_checkpoint,
+        job.row.discarded_checkpoint,
         "cancel no longer discards a parked checkpoint"
     );
     assert!(job.counterexample.is_none());
@@ -320,7 +321,7 @@ fn pinned_server_violation_seed_stays_green() {
     let job = run
         .jobs
         .iter()
-        .find(|j| j.verdict.as_deref() == Some("violated") && j.slices >= 2)
+        .find(|j| j.verdict == Some(Verdict::Violated) && j.row.slices >= 2)
         .expect("seed no longer resumes a parked job to a violation");
     // Oracle agreement is recorded inside the run; pin the digest shape
     // too so a silent re-draw of the corpus can't hollow the test out.
@@ -377,7 +378,7 @@ fn pinned_server_crash_seed_redispatches_to_the_oracle_verdict() {
     let job = run
         .jobs
         .iter()
-        .find(|j| j.verdict.as_deref() == Some("violated") && j.crash_recoveries >= 1)
+        .find(|j| j.verdict == Some(Verdict::Violated) && j.row.crash_recoveries >= 1)
         .expect("seed no longer re-dispatches a crashed job to a violation");
     assert_eq!(job.oracle.as_deref(), Some("violated"));
     assert_eq!(
@@ -428,7 +429,7 @@ fn pinned_server_duplicate_submit_seed_collapses_onto_one_job() {
         6,
         "duplicate submissions spawned extra jobs"
     );
-    let mut ids: Vec<u64> = run.jobs.iter().map(|j| j.job).collect();
+    let mut ids: Vec<u64> = run.jobs.iter().map(|j| j.row.job).collect();
     ids.sort_unstable();
     ids.dedup();
     assert_eq!(ids.len(), 6, "two logical submissions share a job id");

@@ -20,6 +20,7 @@
 
 mod common;
 
+use ddws_server::Verdict;
 use ddws_sim::{
     fairness_violations, run_service_seed, run_service_seed_with_override,
     shrink_service_violation, ServiceBug, ServiceRun, ServiceSimOptions,
@@ -115,7 +116,7 @@ fn service_swarm_is_violation_free() {
                 job.verdict.is_some(),
                 "seed {}: job {} fetched no verdict",
                 run.seed,
-                job.job
+                job.row.job
             );
         }
     }
@@ -167,24 +168,25 @@ fn starver_cannot_delay_the_fleet() {
     let starver = &run.jobs[0];
     assert_eq!(starver.scenario.as_deref(), Some("starver"));
     assert!(
-        starver.slices > 1,
+        starver.row.slices > 1,
         "starver finished in {} slice(s) — not pathological enough to starve anyone",
-        starver.slices
+        starver.row.slices
     );
     for job in &run.jobs[1..] {
         let done = job
+            .row
             .completed_step
-            .unwrap_or_else(|| panic!("seed {}: job {} never completed", run.seed, job.job));
+            .unwrap_or_else(|| panic!("seed {}: job {} never completed", run.seed, job.row.job));
         // Strict round-robin: every slice of this job waits at most one
         // full round (≤ total_jobs quanta), plus one round of submission
         // slack — so completion is bounded by (slices + 1) × total_jobs.
-        let bound = (job.slices + 1) * total_jobs + job.submitted_step;
+        let bound = (job.row.slices + 1) * total_jobs + job.row.submitted_step;
         assert!(
             done <= bound,
             "seed {}: job {} took until step {done} (bound {bound}: {} slices × {total_jobs} jobs)",
             run.seed,
-            job.job,
-            job.slices
+            job.row.job,
+            job.row.slices
         );
     }
     // And the trace-level law holds verbatim on this schedule too.
@@ -209,7 +211,7 @@ fn seeded_cancellation_is_clean() {
         if !run.violations.is_empty() {
             fail_run(&run, &opts);
         }
-        let cancelled: Vec<_> = run.jobs.iter().filter(|j| j.cancelled).collect();
+        let cancelled: Vec<_> = run.jobs.iter().filter(|j| j.cancelled()).collect();
         assert!(
             cancelled.len() <= 1,
             "seed {}: {} cancelled jobs from one planned cancel",
@@ -217,9 +219,9 @@ fn seeded_cancellation_is_clean() {
             cancelled.len()
         );
         for job in cancelled {
-            assert_eq!(job.verdict.as_deref(), Some("cancelled"));
+            assert_eq!(job.verdict, Some(Verdict::Cancelled));
             assert!(job.counterexample.is_none());
-            saw_discard |= job.discarded_checkpoint;
+            saw_discard |= job.row.discarded_checkpoint;
         }
     }
     assert!(
@@ -253,7 +255,7 @@ fn chaos_swarm_upholds_the_robustness_contract() {
                 job.verdict.is_some(),
                 "seed {}: job {} fetched no verdict",
                 run.seed,
-                job.job
+                job.row.job
             );
         }
         faults += run.wire_faults;
