@@ -9,7 +9,7 @@
 //!
 //! 1. **Parallel reachability** — `threads` workers explore the state
 //!    space with per-worker deques and work stealing, recording every
-//!    expanded edge. The visited set is sharded across mutexes; a shared
+//!    expanded edge. The visited set is a [`ShardedTable`]; a shared
 //!    atomic counter enforces the state budget.
 //! 2. **Sequential analysis** — the recorded edges form an explicit graph
 //!    (node count = states visited, which the budget already bounds).
@@ -33,7 +33,7 @@
 
 use crate::emptiness::{Lasso, TransitionSystem, PROGRESS_STRIDE_MASK};
 use crate::limits::{EngineCheckpoint, Interrupted, LimitedResult, SearchLimits};
-use ddws_relational::hash::{self, FxHashMap, FxHashSet};
+use ddws_relational::hash::{FxHashMap, FxHashSet, ShardedTable};
 use ddws_telemetry::{panic_message, AbortReason, EngineTelemetry, SearchStats};
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
@@ -46,19 +46,15 @@ use std::time::Instant;
 #[cfg(doc)]
 use crate::emptiness::find_accepting_lasso_limits_with;
 
-/// Visited-set shards; a power of two well above any sane worker count so
-/// shard collisions between concurrent inserts stay rare.
-const VISIT_SHARDS: usize = 64;
-
 /// Recovers a poisoned lock: a panicking worker may die while holding a
-/// shard or queue lock, and the surviving workers must still be able to
-/// drain and merge — the guarded structures stay structurally valid.
+/// queue lock, and the surviving workers must still be able to drain and
+/// merge — the guarded structures stay structurally valid.
 fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poison| poison.into_inner())
 }
 
 struct Frontier<S> {
-    visited: Vec<Mutex<FxHashSet<S>>>,
+    visited: ShardedTable<FxHashSet<S>>,
     queues: Vec<Mutex<VecDeque<S>>>,
     /// States enqueued or being expanded; 0 ⇒ exploration is complete.
     pending: AtomicUsize,
@@ -77,7 +73,7 @@ struct Frontier<S> {
 impl<S: Clone + Eq + Hash> Frontier<S> {
     fn new(workers: usize, max_states: u64) -> Self {
         Frontier {
-            visited: (0..VISIT_SHARDS).map(|_| Mutex::default()).collect(),
+            visited: ShardedTable::default(),
             queues: (0..workers).map(|_| Mutex::default()).collect(),
             pending: AtomicUsize::new(0),
             visited_count: AtomicU64::new(0),
@@ -101,11 +97,9 @@ impl<S: Clone + Eq + Hash> Frontier<S> {
     /// flag when the visited count passes `max_states` (mirroring the
     /// sequential engine's `states_visited > max_states` check).
     fn try_visit(&self, s: &S) -> bool {
-        let mut shard = relock(&self.visited[hash::shard_of(s, VISIT_SHARDS)]);
-        if !shard.insert(s.clone()) {
+        if !self.visited.insert(s.clone()) {
             return false;
         }
-        drop(shard);
         let count = self.visited_count.fetch_add(1, Ordering::Relaxed) + 1;
         if count > self.max_states {
             self.trip(AbortReason::StateBudget {
@@ -129,7 +123,7 @@ impl<S: Clone + Eq + Hash> Frontier<S> {
     /// visited and falls back to a full expansion — every cycle therefore
     /// contains a fully expanded node, which is exactly the cycle proviso.
     fn already_visited(&self, s: &S) -> bool {
-        relock(&self.visited[hash::shard_of(s, VISIT_SHARDS)]).contains(s)
+        self.visited.contains(s)
     }
 
     /// Pops local work, or steals from another worker (oldest first, so
@@ -151,9 +145,7 @@ impl<S: Clone + Eq + Hash> Frontier<S> {
     /// Drains the visited shards into one vector (checkpoint capture).
     fn drain_visited(&self) -> Vec<S> {
         let mut all = Vec::with_capacity(self.visited_count.load(Ordering::Relaxed) as usize);
-        for shard in &self.visited {
-            all.extend(relock(shard).drain());
-        }
+        self.visited.drain_into(&mut all);
         all
     }
 }
@@ -343,7 +335,7 @@ pub(crate) fn resume_par<TS: TransitionSystem>(
         .visited_count
         .store(cp.visited.len() as u64, Ordering::Relaxed);
     for s in &cp.visited {
-        relock(&frontier.visited[hash::shard_of(s, VISIT_SHARDS)]).insert(s.clone());
+        frontier.visited.insert(s.clone());
     }
     let expanded: FxHashSet<&TS::State> = cp.edges.iter().map(|(src, _)| src).collect();
     let mut next_queue = 0usize;

@@ -5,10 +5,12 @@
 //! has behaviours needing `k+1`. [`counting_relay`] is such a family — a
 //! producer pushes distinguishable tokens through a **perfect** channel and
 //! the consumer counts them; the reachable state space grows monotonically
-//! with `k` (Corollary 3.6's trend, the engine of Theorem 3.7's proof),
-//! whereas the *lossy* variant of the same composition saturates: dropped
-//! messages mean larger bounds add no new reachable configurations beyond
-//! the sender's horizon.
+//! with `k` (Corollary 3.6's trend, the engine of Theorem 3.7's proof).
+//! The *lossy* variant of the same composition does not saturate: E5
+//! measures the same 12 / 28 / 60 / 124 / 252 reachable configurations for
+//! `k = 1..5` on both, because the consumer may drain either way. Loss
+//! shows up as extra transitions and as counting that can no longer be
+//! relied on, not as a smaller state space.
 
 use ddws_model::{Composition, CompositionBuilder, Mover, QueueKind, Semantics};
 use ddws_relational::{Instance, Tuple, Value};

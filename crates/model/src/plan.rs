@@ -142,6 +142,8 @@ type Extension = Arc<Vec<Vec<Value>>>;
 /// counters. One cache serves one verification run: the quantification
 /// domain must stay fixed for its lifetime (database contents may vary —
 /// they are part of the key).
+/// It stays off `ddws_relational::hash::ShardedTable`: hash sharding would
+/// add a full footprint hash to every probe on the hot path.
 #[derive(Debug, Default)]
 pub struct RuleCache {
     rules: Vec<RwLock<FxHashMap<Vec<ReadSlot>, Extension>>>,

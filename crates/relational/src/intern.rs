@@ -16,17 +16,17 @@
 //!   stable). Interning each distinct extension once ([`Interner`]) turns
 //!   configuration equality and hashing into `u32` comparisons.
 //!
-//! The interner is sharded like the verifier's configuration interner, so
-//! parallel search workers intern without contending on one lock, and it
+//! The interner sits on the search's one [`ShardedTable`], so parallel
+//! search workers intern without contending on one lock, and it
 //! meters hits/misses for the telemetry invariants (`hits + misses ==
 //! calls` at any quiescent point).
 
-use crate::hash::{self, FxHashMap};
+use crate::hash::{FxHashMap, ShardedTable, SHARDS, SHARD_BITS};
 use crate::tuple::Tuple;
 use crate::value::Value;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 /// Bit-packing layout for tuples of one arity over a closed value domain.
 ///
@@ -211,9 +211,6 @@ pub fn codes_apply_update(old: &[u64], ins: &[u64], del: &[u64]) -> Vec<u64> {
 
 // --- Sharded hash-cons interner ---------------------------------------
 
-const SHARD_BITS: u32 = 4;
-const SHARDS: usize = 1 << SHARD_BITS;
-
 struct Shard<T> {
     items: Vec<Arc<T>>,
     ids: FxHashMap<Arc<T>, u32>,
@@ -233,7 +230,7 @@ impl<T> Default for Shard<T> {
 /// replaces deep hashing. Handles encode their shard in the low
 /// [`SHARD_BITS`] bits; resolution never consults a directory.
 pub struct Interner<T> {
-    shards: Vec<RwLock<Shard<T>>>,
+    shards: ShardedTable<Shard<T>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -241,7 +238,7 @@ pub struct Interner<T> {
 impl<T> Default for Interner<T> {
     fn default() -> Self {
         Interner {
-            shards: (0..SHARDS).map(|_| RwLock::default()).collect(),
+            shards: ShardedTable::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -259,15 +256,12 @@ impl<T: Hash + Eq> Interner<T> {
     /// another thread interned it between the read and write probes) or
     /// one miss (a fresh entry) per call.
     pub fn intern(&self, item: T) -> u32 {
-        let sh = hash::shard_of(&item, SHARDS);
-        {
-            let shard = self.shards[sh].read().expect("interner shard poisoned");
-            if let Some(&id) = shard.ids.get(&item) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return id;
-            }
+        let sh = self.shards.shard_index(&item);
+        if let Some(&id) = self.shards.read(sh).ids.get(&item) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return id;
         }
-        let mut shard = self.shards[sh].write().expect("interner shard poisoned");
+        let mut shard = self.shards.write(sh);
         if let Some(&id) = shard.ids.get(&item) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return id;
@@ -288,18 +282,13 @@ impl<T: Hash + Eq> Interner<T> {
     /// Resolves a handle back to its value (COW: the `Arc` aliases the
     /// interned entry; the table never mutates an entry in place).
     pub fn resolve(&self, id: u32) -> Arc<T> {
-        let shard = self.shards[id as usize & (SHARDS - 1)]
-            .read()
-            .expect("interner shard poisoned");
+        let shard = self.shards.read(id as usize & (SHARDS - 1));
         Arc::clone(&shard.items[(id >> SHARD_BITS) as usize])
     }
 
     /// Number of distinct interned values.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("interner shard poisoned").items.len())
-            .sum()
+        self.shards.read_all().map(|s| s.items.len()).sum()
     }
 
     /// Whether nothing has been interned.
@@ -323,15 +312,8 @@ impl<T: Hash + Eq> Interner<T> {
     /// callback (used for checkpoint-size accounting).
     pub fn approx_bytes(&self, cost: impl Fn(&T) -> usize) -> usize {
         self.shards
-            .iter()
-            .map(|s| {
-                s.read()
-                    .expect("interner shard poisoned")
-                    .items
-                    .iter()
-                    .map(|i| cost(i))
-                    .sum::<usize>()
-            })
+            .read_all()
+            .map(|s| s.items.iter().map(|i| cost(i)).sum::<usize>())
             .sum()
     }
 }

@@ -1,7 +1,7 @@
 //! The search tables' hasher: fixed outputs, byte-slice separation and
 //! spread over shards and buckets.
 
-use ddws_relational::hash::{fx_hash, shard_of, FxHasher};
+use ddws_relational::hash::{fx_hash, FxHasher, ShardedTable, SHARDS};
 use std::hash::Hasher;
 
 /// Interner handles carry their shard, and the shard is read off these
@@ -50,10 +50,11 @@ fn assert_spread(counts: &[usize], what: &str) {
 #[test]
 fn sequential_keys_spread_over_shards_and_buckets() {
     let keys = (0u32..65_536).map(|i| (i >> 8, i & 0xff));
-    let mut shards = [0usize; 16];
+    let table = ShardedTable::<()>::default();
+    let mut shards = [0usize; SHARDS];
     let mut buckets = vec![0usize; 1 << 12];
     for key in keys {
-        shards[shard_of(&key, 16)] += 1;
+        shards[table.shard_index(&key)] += 1;
         buckets[fx_hash(&key) as usize & 0xfff] += 1;
     }
     assert_spread(&shards, "16 shards");

@@ -25,26 +25,28 @@
 //! that outlive it — [`SharedSearch`]'s steps and boots, the symmetry
 //! reduction's representatives — and returns the same successors.
 //!
-//! Those memos are sharded behind `RwLock`s so one `ProductSystem` can be
-//! expanded from many worker threads at once (see
+//! Those memos sit on the search's one [`ShardedTable`] so one
+//! `ProductSystem` can be expanded from many worker threads at once (see
 //! [`parallel`](crate::parallel)). Memoized values are pure functions of
 //! their keys, so the benign race — two threads computing the same entry
 //! before either publishes it — wastes a little work but never changes a
 //! result.
 
+use crate::domain::packing_capacity;
 use crate::ground::AtomRegistry;
 use crate::oracle::{FactUniverse, Oracle, RecordingDb};
-use ddws_automata::{Expansion, Nba, TransitionSystem};
+use crate::verify::{RuleEval, StateRepr};
+use ddws_automata::{Expansion, Letter, Nba, TransitionSystem};
 use ddws_model::{
     CompactConfig, CompactView, CompiledRules, Composition, Config, EvalCtx, IndependenceOracle,
     Mover, RuleCache, StatePool, ValueClasses, ValuePerm,
 };
-use ddws_relational::hash::{self, FxHashMap};
+use ddws_relational::hash::{FxHashMap, ShardedTable};
 use ddws_relational::{Instance, Interner, Value};
 use ddws_telemetry::{RuleMeterSource, SearchStats};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A state of the product system.
@@ -70,91 +72,152 @@ pub enum PState {
     },
 }
 
-/// Shard count for the caches: enough to keep lock contention low at the
-/// thread counts the engine targets (≤ 32 workers) without wasting memory
-/// on sequential runs.
-const SHARDS: usize = 16;
+/// Successor configs of one cached expansion, or `Err(fact)` when the
+/// expansion forks on an undecided database fact.
+type StepResult = Result<Arc<[u32]>, usize>;
 
-/// A sharded [`FxHashMap`] cache; values are cloned out under a read lock.
-/// Callers store ids or `Arc`-wrapped successor sets (`Arc<[u32]>`), so
-/// the clone is a refcount bump, never a deep copy of the cached step.
-struct ShardedMap<K, V> {
-    shards: Vec<RwLock<FxHashMap<K, V>>>,
+/// A memo of expansions, keyed by what determines them.
+type Memo<K> = ShardedTable<FxHashMap<K, StepResult>>;
+
+/// Where configurations live: the one switch on [`StateRepr`]. Both arms
+/// intern to the ids [`PState`] carries, meaningful only to their store.
+enum ConfigStore {
+    /// Owned [`Config`]s, interned whole: the oracle of record.
+    Legacy(Interner<Config>),
+    /// The hash-consed, bit-packed extension pool plus the interner of
+    /// [`CompactConfig`]s; both meter hits and misses exactly.
+    Compact {
+        pool: StatePool,
+        configs: Interner<CompactConfig>,
+    },
 }
 
-impl<K, V> Default for ShardedMap<K, V> {
-    fn default() -> Self {
-        ShardedMap {
-            shards: (0..SHARDS).map(|_| RwLock::default()).collect(),
+/// Interns `next` unless computing it read an undecided database fact, on
+/// which the caller forks instead (interning nothing).
+fn intern_decided<C: Hash + Eq>(
+    db: &RecordingDb,
+    next: Vec<C>,
+    configs: &Interner<C>,
+) -> StepResult {
+    match db.undecided_hit() {
+        Some(fact) => Err(fact),
+        None => Ok(next.into_iter().map(|c| configs.intern(c)).collect()),
+    }
+}
+
+impl ConfigStore {
+    /// The interned successors of configuration `config` when `mover`
+    /// steps (`from = Some((config, mover))`), or the interned initial
+    /// configurations (`from = None`).
+    fn expand(
+        &self,
+        sys: &ProductSystem,
+        db: &RecordingDb,
+        from: Option<(u32, Mover)>,
+    ) -> StepResult {
+        let (comp, domain, ctx) = (sys.comp, sys.domain, sys.shared.eval_ctx());
+        match self {
+            ConfigStore::Legacy(configs) => {
+                let next = match from {
+                    None => comp.initial_configs_with(db, domain, ctx),
+                    Some((config, mover)) => {
+                        comp.successors_with(db, domain, &configs.resolve(config), mover, ctx)
+                    }
+                };
+                intern_decided(db, next, configs)
+            }
+            ConfigStore::Compact { pool, configs } => {
+                let next = match from {
+                    None => pool.initial_configs(comp, db, domain, ctx),
+                    Some((config, mover)) => {
+                        pool.successors(comp, db, domain, &configs.resolve(config), mover, ctx)
+                    }
+                };
+                intern_decided(db, next, configs)
+            }
         }
     }
-}
 
-impl<K: Hash + Eq, V: Clone> ShardedMap<K, V> {
-    /// The shard holding `key` (the hasher is keyless, so the layout is
-    /// stable across runs).
-    fn shard(&self, key: &K) -> &RwLock<FxHashMap<K, V>> {
-        &self.shards[hash::shard_of(key, SHARDS)]
+    /// The letter of snapshot `(config, mover)`. The compact arm reads it
+    /// off the handles: the per-(config, mover) hot path must not expand.
+    fn letter(&self, sys: &ProductSystem, db: &RecordingDb, config: u32, mover: Mover) -> Letter {
+        let (atoms, comp, domain) = (sys.atoms, sys.comp, sys.domain);
+        match self {
+            ConfigStore::Legacy(configs) => {
+                atoms.letter(comp, db, &configs.resolve(config), Some(mover), domain)
+            }
+            ConfigStore::Compact { pool, configs } => {
+                let cc = configs.resolve(config);
+                atoms.letter_view(&CompactView::new(pool, comp, db, &cc, Some(mover), domain))
+            }
+        }
     }
 
-    fn get(&self, key: &K) -> Option<V> {
-        self.shard(key)
-            .read()
-            .expect("cache shard poisoned")
-            .get(key)
-            .cloned()
+    /// The representative of configuration `raw` under `classes`, interned,
+    /// with the permutation mapping `raw` onto it.
+    fn canonical(&self, raw: u32, classes: &ValueClasses) -> (u32, ValuePerm) {
+        let (moved, perm) = match self {
+            ConfigStore::Legacy(configs) => {
+                let (rep, perm) = configs.resolve(raw).canonical(classes);
+                ((!perm.is_identity()).then(|| configs.intern(rep)), perm)
+            }
+            ConfigStore::Compact { pool, configs } => {
+                let (rep, perm) = pool.canonical(&configs.resolve(raw), classes);
+                ((!perm.is_identity()).then(|| configs.intern(rep)), perm)
+            }
+        };
+        (moved.unwrap_or(raw), perm)
     }
 
-    fn insert(&self, key: K, value: V) {
-        self.shard(&key)
-            .write()
-            .expect("cache shard poisoned")
-            .insert(key, value);
+    /// Configuration `id` as an owned [`Config`], materialized from the
+    /// pool under the compact representation.
+    fn config(&self, comp: &Composition, id: u32) -> Arc<Config> {
+        match self {
+            ConfigStore::Legacy(configs) => configs.resolve(id),
+            ConfigStore::Compact { pool, configs } => {
+                Arc::new(pool.expand(comp, &configs.resolve(id)))
+            }
+        }
     }
 
-    /// Inserts unless the key is present; whether this call inserted.
-    fn insert_new(&self, key: K, value: V) -> bool {
-        let mut shard = self.shard(&key).write().expect("cache shard poisoned");
-        match shard.entry(key) {
-            std::collections::hash_map::Entry::Occupied(_) => false,
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(value);
-                true
+    /// (calls, hits, misses) of the pool and the compact configuration
+    /// interner; all zero under the legacy representation.
+    fn intern_stats(&self) -> (u64, u64, u64) {
+        match self {
+            ConfigStore::Legacy(_) => (0, 0, 0),
+            ConfigStore::Compact { pool, configs } => {
+                let hits = pool.intern_hits() + configs.hits();
+                let misses = pool.intern_misses() + configs.misses();
+                (hits + misses, hits, misses)
+            }
+        }
+    }
+
+    /// Approximate heap bytes of the interned configurations plus (in
+    /// compact mode) the extension pool.
+    fn approx_bytes(&self) -> usize {
+        match self {
+            ConfigStore::Legacy(configs) => configs.approx_bytes(Config::approx_bytes),
+            ConfigStore::Compact { pool, configs } => {
+                pool.approx_bytes() + configs.approx_bytes(CompactConfig::approx_bytes)
             }
         }
     }
 }
 
-/// Successor configs of one cached expansion, or `Err(fact)` when the
-/// expansion forks on an undecided database fact.
-type StepResult = Result<Arc<[u32]>, usize>;
-
-/// The compact state space of one run: the extension pool (hash-consed
-/// relation instances and queue contents, bit-packed where the domain
-/// allows) plus the configuration interner mapping [`CompactConfig`]s to
-/// the dense ids [`PState`] carries. Both layers meter hits and misses, so
-/// `SearchStats`' intern counters satisfy `hits + misses == calls` exactly.
-pub(crate) struct CompactSpace {
-    pub(crate) pool: StatePool,
-    pub(crate) configs: Interner<CompactConfig>,
-}
-
 /// Search state shared across the valuations of one `check` call: the
-/// configuration/oracle interners and the composition-step cache. Steps
-/// depend only on (config, mover, oracle) — not on the property valuation —
-/// so sharing them makes every valuation after the first traverse the
-/// already-expanded graph instead of re-evaluating every rule.
+/// configuration store, the oracle interner and the composition-step
+/// memos. Steps depend only on (config, mover, oracle) — not on the
+/// property valuation — so sharing them makes every valuation after the
+/// first traverse the already-expanded graph instead of re-evaluating
+/// every rule.
 pub struct SharedSearch {
-    configs: Interner<Config>,
-    /// Compact state space; `Some` routes configurations through the
-    /// hash-cons pool and leaves the legacy `configs` interner unused
-    /// (`VerifyOptions::state_repr`).
-    compact: Option<CompactSpace>,
+    store: ConfigStore,
     oracles: Interner<Oracle>,
     /// (config, mover, oracle) → successor configs (or fork fact).
-    steps: ShardedMap<(u32, Mover, u32), StepResult>,
+    steps: Memo<(u32, Mover, u32)>,
     /// oracle → initial configs (or fork fact).
-    boots: ShardedMap<u32, StepResult>,
+    boots: Memo<u32>,
     /// Compiled rule plans; `None` routes rule bodies through the FO
     /// interpreter (the oracle of record).
     compiled: Option<CompiledRules>,
@@ -170,13 +233,38 @@ pub struct SharedSearch {
 }
 
 impl SharedSearch {
-    fn with_rules(compiled: Option<CompiledRules>, rule_cache: RuleCache) -> Self {
+    /// Shared state for one verification run of `comp`, with rules
+    /// evaluated per `rule_eval` and configurations stored per
+    /// `state_repr`; the compact pool's packing widths come from the fully
+    /// interned `domain` ([`packing_capacity`]). The domain, the fixed
+    /// database (whose footprint the pool caches) and both choices stay
+    /// fixed for the state's lifetime: the memos and ids depend on them.
+    pub fn new(
+        comp: &Composition,
+        rule_eval: RuleEval,
+        state_repr: StateRepr,
+        domain: &[Value],
+    ) -> Self {
+        let (compiled, rule_cache) = match rule_eval {
+            RuleEval::Compiled => {
+                let compiled = CompiledRules::new(comp);
+                let rule_cache = RuleCache::new(&compiled);
+                (Some(compiled), rule_cache)
+            }
+            RuleEval::Interpreted => (None, RuleCache::timing_only()),
+        };
+        let store = match state_repr {
+            StateRepr::Compact => ConfigStore::Compact {
+                pool: StatePool::new(comp, packing_capacity(comp, domain)),
+                configs: Interner::new(),
+            },
+            StateRepr::Legacy => ConfigStore::Legacy(Interner::new()),
+        };
         SharedSearch {
-            configs: Interner::new(),
-            compact: None,
+            store,
             oracles: Interner::new(),
-            steps: ShardedMap::default(),
-            boots: ShardedMap::default(),
+            steps: Memo::default(),
+            boots: Memo::default(),
             compiled,
             rule_cache,
             boot_ns: AtomicU64::new(0),
@@ -184,56 +272,19 @@ impl SharedSearch {
         }
     }
 
-    /// Shared state that evaluates rules through compiled join/filter/
-    /// project plans with footprint-keyed memoization (the default engine
-    /// of [`crate::VerifyOptions`]).
-    ///
-    /// One `SharedSearch` serves one verification run: the memo table's
-    /// soundness requires the quantification domain — and, in compact
-    /// mode, the fixed database, whose footprint handle the state pool
-    /// caches — to stay fixed for its lifetime.
-    pub fn compiled(comp: &Composition) -> Self {
-        let compiled = CompiledRules::new(comp);
-        let rule_cache = RuleCache::new(&compiled);
-        SharedSearch::with_rules(Some(compiled), rule_cache)
+    /// The rule-evaluation engine this state was built with.
+    pub fn rule_eval(&self) -> RuleEval {
+        match self.compiled {
+            Some(_) => RuleEval::Compiled,
+            None => RuleEval::Interpreted,
+        }
     }
 
-    /// Shared state that evaluates rules through the FO interpreter but
-    /// still meters evaluation time, so compiled-vs-interpreted timings in
-    /// [`ddws_telemetry::SearchStats`] are comparable.
-    pub fn interpreted_metered() -> Self {
-        SharedSearch::with_rules(None, RuleCache::timing_only())
-    }
-
-    /// Switches this shared state to the compact (hash-consed, bit-packed)
-    /// configuration representation. `value_capacity` must be one past the
-    /// largest [`Value`] index any reachable extension can hold — the
-    /// verifier derives it with
-    /// [`domain::packing_capacity`](crate::domain::packing_capacity) from
-    /// the closed input-bounded domain.
-    ///
-    /// Like the rule engine, the representation is fixed for the lifetime
-    /// of the shared state: configuration ids from one representation are
-    /// meaningless in the other.
-    pub fn with_compact(mut self, comp: &Composition, value_capacity: usize) -> Self {
-        self.compact = Some(CompactSpace {
-            pool: StatePool::new(comp, value_capacity),
-            configs: Interner::new(),
-        });
-        self
-    }
-
-    /// Intern-table counters: (calls, hits, misses) summed over the
-    /// extension pool and the configuration interner. All zero under the
-    /// legacy representation.
-    pub fn intern_stats(&self) -> (u64, u64, u64) {
-        match &self.compact {
-            Some(space) => {
-                let hits = space.pool.intern_hits() + space.configs.hits();
-                let misses = space.pool.intern_misses() + space.configs.misses();
-                (hits + misses, hits, misses)
-            }
-            None => (0, 0, 0),
+    /// The configuration representation this state was built with.
+    pub fn state_repr(&self) -> StateRepr {
+        match self.store {
+            ConfigStore::Legacy(_) => StateRepr::Legacy,
+            ConfigStore::Compact { .. } => StateRepr::Compact,
         }
     }
 
@@ -243,12 +294,7 @@ impl SharedSearch {
     /// [`EngineCheckpoint`](ddws_automata::EngineCheckpoint) frontiers and
     /// visited sets store dense ids.
     pub fn approx_state_bytes(&self) -> usize {
-        match &self.compact {
-            Some(space) => {
-                space.pool.approx_bytes() + space.configs.approx_bytes(CompactConfig::approx_bytes)
-            }
-            None => self.configs.approx_bytes(Config::approx_bytes),
-        }
+        self.store.approx_bytes()
     }
 
     /// The rule-evaluation context this shared state configures.
@@ -274,7 +320,7 @@ impl SharedSearch {
         stats.rule_eval_ns = c.eval_ns();
         stats.boot_ns = self.boot_ns.load(Ordering::Relaxed);
         stats.successor_ns = self.step_ns.load(Ordering::Relaxed);
-        let (calls, hits, misses) = self.intern_stats();
+        let (calls, hits, misses) = self.store.intern_stats();
         stats.intern_calls = calls;
         stats.intern_hits = hits;
         stats.intern_misses = misses;
@@ -293,7 +339,7 @@ impl RuleMeterSource for SharedSearch {
 /// step cache in [`SharedSearch`] keeps raw ids and stays shared.
 struct Symmetry {
     classes: ValueClasses,
-    reps: ShardedMap<u32, u32>,
+    reps: ShardedTable<FxHashMap<u32, u32>>,
     /// Memo entries whose representative differs from the raw id.
     merges: AtomicU64,
 }
@@ -345,7 +391,7 @@ impl<'a> ProductSystem<'a> {
             symmetry: crate::symmetry::product_classes(comp, base_db, universe, domain, atoms).map(
                 |classes| Symmetry {
                     classes,
-                    reps: ShardedMap::default(),
+                    reps: ShardedTable::default(),
                     merges: AtomicU64::new(0),
                 },
             ),
@@ -365,38 +411,13 @@ impl<'a> ProductSystem<'a> {
             .map_or(0, |s| s.merges.load(Ordering::Relaxed))
     }
 
-    /// The representative of interned configuration `raw` under `classes`,
-    /// interned, with the permutation mapping `raw` onto it.
-    fn canonical_form(&self, raw: u32, classes: &ValueClasses) -> (u32, ValuePerm) {
-        match &self.shared.compact {
-            Some(space) => {
-                let (rep, perm) = space.pool.canonical(&space.configs.resolve(raw), classes);
-                let id = if perm.is_identity() {
-                    raw
-                } else {
-                    space.configs.intern(rep)
-                };
-                (id, perm)
-            }
-            None => {
-                let (rep, perm) = self.shared.configs.resolve(raw).canonical(classes);
-                let id = if perm.is_identity() {
-                    raw
-                } else {
-                    self.intern_config(rep)
-                };
-                (id, perm)
-            }
-        }
-    }
-
     /// The orbit representative of a raw successor configuration
     /// (memoized).
     fn representative(&self, sym: &Symmetry, raw: u32) -> u32 {
         if let Some(rep) = sym.reps.get(&raw) {
             return rep;
         }
-        let (rep, _) = self.canonical_form(raw, &sym.classes);
+        let (rep, _) = self.shared.store.canonical(raw, &sym.classes);
         if sym.reps.insert_new(raw, rep) && rep != raw {
             sym.merges.fetch_add(1, Ordering::Relaxed);
         }
@@ -434,7 +455,7 @@ impl<'a> ProductSystem<'a> {
         let c = *raw
             .iter()
             .find(|&&c| self.representative(sym, c) == target)?;
-        Some(self.canonical_form(c, &sym.classes).1)
+        Some(self.shared.store.canonical(c, &sym.classes).1)
     }
 
     /// Activates the ample-set reduction: the engines route expansions
@@ -452,10 +473,7 @@ impl<'a> ProductSystem<'a> {
     /// call this in compact mode (letters and steps work on handles); it
     /// serves counterexample reconstruction and display.
     pub fn config(&self, id: u32) -> Arc<Config> {
-        match &self.shared.compact {
-            Some(space) => Arc::new(space.pool.expand(self.comp, &space.configs.resolve(id))),
-            None => self.shared.configs.resolve(id),
-        }
+        self.shared.store.config(self.comp, id)
     }
 
     /// Resolves an interned oracle.
@@ -463,97 +481,43 @@ impl<'a> ProductSystem<'a> {
         self.shared.oracles.resolve(id)
     }
 
-    fn intern_config(&self, c: Config) -> u32 {
-        self.shared.configs.intern(c)
-    }
-
-    fn intern_oracle(&self, o: Oracle) -> u32 {
-        self.shared.oracles.intern(o)
-    }
-
     /// Initial configurations for an oracle, cached across valuations.
     fn boot_configs(&self, oracle: u32) -> StepResult {
-        if let Some(cached) = self.shared.boots.get(&oracle) {
-            return cached;
-        }
-        let start = Instant::now();
-        let o = self.oracle(oracle);
-        let db = RecordingDb::new(self.base_db, self.universe, &o);
-        let result = match &self.shared.compact {
-            Some(space) => {
-                let configs =
-                    space
-                        .pool
-                        .initial_configs(self.comp, &db, self.domain, self.shared.eval_ctx());
-                match db.undecided_hit() {
-                    Some(fact) => Err(fact),
-                    None => Ok(configs
-                        .into_iter()
-                        .map(|c| space.configs.intern(c))
-                        .collect()),
-                }
-            }
-            None => {
-                let configs =
-                    self.comp
-                        .initial_configs_with(&db, self.domain, self.shared.eval_ctx());
-                match db.undecided_hit() {
-                    Some(fact) => Err(fact),
-                    None => Ok(configs.into_iter().map(|c| self.intern_config(c)).collect()),
-                }
-            }
-        };
-        self.shared.boots.insert(oracle, result.clone());
-        self.shared
-            .boot_ns
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        result
+        let sh = self.shared;
+        self.memo_expand(&sh.boots, oracle, &sh.boot_ns, oracle, None)
     }
 
     /// One composition step, cached across valuations.
     fn step_configs(&self, config: u32, mover: Mover, oracle: u32) -> StepResult {
-        let key = (config, mover, oracle);
-        if let Some(cached) = self.shared.steps.get(&key) {
+        let (sh, from) = (self.shared, Some((config, mover)));
+        self.memo_expand(
+            &sh.steps,
+            (config, mover, oracle),
+            &sh.step_ns,
+            oracle,
+            from,
+        )
+    }
+
+    /// [`ConfigStore::expand`] under `oracle`, answered from `memo` when
+    /// cached; a fresh expansion is memoized under `key` and timed in `ns`.
+    fn memo_expand<K: Hash + Eq>(
+        &self,
+        memo: &Memo<K>,
+        key: K,
+        ns: &AtomicU64,
+        oracle: u32,
+        from: Option<(u32, Mover)>,
+    ) -> StepResult {
+        if let Some(cached) = memo.get(&key) {
             return cached;
         }
         let start = Instant::now();
         let o = self.oracle(oracle);
         let db = RecordingDb::new(self.base_db, self.universe, &o);
-        let result = match &self.shared.compact {
-            Some(space) => {
-                let cc = space.configs.resolve(config);
-                let next = space.pool.successors(
-                    self.comp,
-                    &db,
-                    self.domain,
-                    &cc,
-                    mover,
-                    self.shared.eval_ctx(),
-                );
-                match db.undecided_hit() {
-                    Some(fact) => Err(fact),
-                    None => Ok(next.into_iter().map(|c| space.configs.intern(c)).collect()),
-                }
-            }
-            None => {
-                let cfg = self.config(config);
-                let next = self.comp.successors_with(
-                    &db,
-                    self.domain,
-                    &cfg,
-                    mover,
-                    self.shared.eval_ctx(),
-                );
-                match db.undecided_hit() {
-                    Some(fact) => Err(fact),
-                    None => Ok(next.into_iter().map(|c| self.intern_config(c)).collect()),
-                }
-            }
-        };
-        self.shared.steps.insert(key, result.clone());
-        self.shared
-            .step_ns
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        let result = self.shared.store.expand(self, &db, from);
+        memo.insert_new(key, result.clone());
+        ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         result
     }
 
@@ -563,7 +527,7 @@ impl<'a> ProductSystem<'a> {
         [true, false]
             .into_iter()
             .map(|v| {
-                let o2 = self.intern_oracle(oracle.with_decided(fact, v));
+                let o2 = self.shared.oracles.intern(oracle.with_decided(fact, v));
                 match state {
                     PState::Boot { .. } => PState::Boot { oracle: o2 },
                     PState::Run {
@@ -584,7 +548,10 @@ impl TransitionSystem for ProductSystem<'_> {
     type State = PState;
 
     fn initial_states(&self) -> Vec<PState> {
-        let empty = self.intern_oracle(Oracle::undecided(self.universe.len()));
+        let empty = self
+            .shared
+            .oracles
+            .intern(Oracle::undecided(self.universe.len()));
         vec![PState::Boot { oracle: empty }]
     }
 
@@ -653,31 +620,11 @@ impl ProductSystem<'_> {
                 q,
                 oracle,
             } => {
-                // 1. The letter of this snapshot (read off the compact
-                //    handles directly when that representation is active —
-                //    the per-(config, mover) hot path must not expand).
+                // 1. The letter of this snapshot.
                 let letter = {
                     let o = self.oracle(oracle);
                     let db = RecordingDb::new(self.base_db, self.universe, &o);
-                    let letter = match &self.shared.compact {
-                        Some(space) => {
-                            let cc = space.configs.resolve(config);
-                            let view = CompactView::new(
-                                &space.pool,
-                                self.comp,
-                                &db,
-                                &cc,
-                                Some(mover),
-                                self.domain,
-                            );
-                            self.atoms.letter_view(&view)
-                        }
-                        None => {
-                            let cfg = self.config(config);
-                            self.atoms
-                                .letter(self.comp, &db, &cfg, Some(mover), self.domain)
-                        }
-                    };
+                    let letter = self.shared.store.letter(self, &db, config, mover);
                     if let Some(fact) = db.undecided_hit() {
                         return (self.fork(*s, oracle, fact), false);
                     }

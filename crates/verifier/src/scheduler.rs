@@ -120,7 +120,8 @@ pub(crate) fn deterministic_mode(opts: &VerifyOptions) -> bool {
 /// produce *equal* formulas referring to identically-numbered atoms.
 /// Translation happens under the map lock, so concurrent shards racing on
 /// one shape block until the first finishes — the miss count therefore
-/// equals the number of distinct shapes, independent of schedule.
+/// equals the number of distinct shapes, independent of schedule (hence one
+/// lock, not a `ddws_relational::hash::ShardedTable`).
 pub(crate) struct NbaCache {
     map: Mutex<FxHashMap<Ltl, std::sync::Arc<Nba>>>,
     hits: AtomicU64,

@@ -162,7 +162,8 @@ pub(crate) fn lift(
 mod tests {
     use super::*;
     use crate::ground::ground_ltlfo;
-    use crate::verify::{build_shared, DatabaseMode, RuleEval, StateRepr, Verifier, VerifyOptions};
+    use crate::product::SharedSearch;
+    use crate::verify::{DatabaseMode, RuleEval, StateRepr, Verifier, VerifyOptions};
     use ddws_automata::{find_accepting_lasso, ltl_to_nba};
     use ddws_logic::LtlFo;
     use ddws_model::CompositionBuilder;
@@ -202,7 +203,7 @@ mod tests {
         };
         let domain = v.domain_for(&prop, &opts);
         let comp = v.composition();
-        let shared = build_shared(comp, RuleEval::Compiled, StateRepr::Compact, &domain);
+        let shared = SharedSearch::new(comp, RuleEval::Compiled, StateRepr::Compact, &domain);
         let mut atoms = AtomRegistry::new();
         let ltl = ground_ltlfo(&LtlFo::not(prop.body.clone()), &HashMap::new(), &mut atoms);
         let nba = ltl_to_nba(&ltl);

@@ -205,28 +205,6 @@ impl fmt::Debug for VerifyOptions {
     }
 }
 
-/// Builds the shared search state for one run: rule engine per
-/// `rule_eval`, configuration representation per `state_repr` (the compact
-/// pool's packing widths are sized from the closed verification domain,
-/// which must be fully interned before this is called).
-pub(crate) fn build_shared(
-    comp: &Composition,
-    rule_eval: RuleEval,
-    state_repr: StateRepr,
-    domain: &[Value],
-) -> SharedSearch {
-    let shared = match rule_eval {
-        RuleEval::Compiled => SharedSearch::compiled(comp),
-        RuleEval::Interpreted => SharedSearch::interpreted_metered(),
-    };
-    match state_repr {
-        StateRepr::Compact => {
-            shared.with_compact(comp, crate::domain::packing_capacity(comp, domain))
-        }
-        StateRepr::Legacy => shared,
-    }
-}
-
 /// Whether an LTL-FO formula contains the `X` operator anywhere —
 /// properties with `X` are not stutter-invariant, so the ample-set
 /// reduction must stay off for them.
@@ -361,10 +339,11 @@ pub struct Inconclusive {
 /// fresh, unlimited [`Verifier::check`] would.
 ///
 /// The checkpoint pins the original run's search shape — engine
-/// (`threads`), outer shards (`valuation_threads`), reduction and
-/// rule-evaluation mode — because the frozen frontiers' interned state
-/// ids are only meaningful to the [`SharedSearch`] captured alongside
-/// them. Budgets, deadline, cancellation and reporting come from the
+/// (`threads`), outer shards (`valuation_threads`) and reduction — because
+/// the frozen frontiers' interned state ids are only meaningful to the
+/// [`SharedSearch`] captured alongside them. That store fixes the
+/// rule-evaluation mode and the configuration representation itself, and
+/// `resume` reads both off it. Budgets, deadline, cancellation and reporting come from the
 /// options passed to `resume`.
 ///
 /// Under valuation sharding a graceful stop can leave *several* shards
@@ -398,8 +377,6 @@ pub struct Checkpoint {
     /// own counters and re-reports them cumulatively on resume).
     stats_prior: SearchStats,
     reduction: Reduction,
-    rule_eval: RuleEval,
-    state_repr: StateRepr,
     threads: Option<usize>,
     valuation_threads: Option<usize>,
 }
@@ -469,8 +446,8 @@ impl fmt::Debug for Checkpoint {
             .field("threads", &self.threads)
             .field("valuation_threads", &self.valuation_threads)
             .field("reduction", &self.reduction)
-            .field("rule_eval", &self.rule_eval)
-            .field("state_repr", &self.state_repr)
+            .field("rule_eval", &self.shared.rule_eval())
+            .field("state_repr", &self.shared.state_repr())
             .finish_non_exhaustive()
     }
 }
@@ -749,7 +726,8 @@ impl Verifier {
     /// Continues a [`Checkpoint`] captured by an inconclusive
     /// [`Verifier::check`] (or a previous `resume`) on the same
     /// composition. The checkpoint pins the search shape — engine,
-    /// reduction, rule evaluation — while budgets, deadline, cancellation
+    /// reduction, and through its state store rule evaluation and
+    /// configuration representation — while budgets, deadline, cancellation
     /// and reporting come from `opts`. Note the state budget counts
     /// *total* visited states of the interrupted search, so resuming with
     /// the budget that tripped trips again immediately; raise it.
@@ -761,10 +739,12 @@ impl Verifier {
         // The frozen frontier's interned ids are only meaningful to the
         // checkpointed SharedSearch, under the checkpointed engine and
         // successor semantics — so those override whatever `opts` says.
+        // The rule engine and representation are read off the store that
+        // fixes them.
         let eff = VerifyOptions {
             reduction: cp.reduction,
-            rule_eval: cp.rule_eval,
-            state_repr: cp.state_repr,
+            rule_eval: cp.shared.rule_eval(),
+            state_repr: cp.shared.state_repr(),
             threads: cp.threads,
             valuation_threads: cp.valuation_threads,
             ..opts.clone()
@@ -1043,7 +1023,7 @@ impl Verifier {
         // Arc because an interrupted run's checkpoint must keep the
         // interners alive: the frozen engine frontier stores interned
         // configuration/oracle ids.
-        let shared = Arc::new(build_shared(
+        let shared = Arc::new(SharedSearch::new(
             &self.comp,
             opts.rule_eval,
             opts.state_repr,
@@ -1310,8 +1290,6 @@ impl Verifier {
                         legs,
                         stats_prior: prior,
                         reduction: opts.reduction,
-                        rule_eval: opts.rule_eval,
-                        state_repr: opts.state_repr,
                         threads: opts.threads,
                         valuation_threads: opts.valuation_threads,
                     }

@@ -4,7 +4,7 @@
 
 use ddws_model::{Composition, CompositionBuilder, QueueKind};
 use ddws_relational::{Instance, Tuple, Value};
-use ddws_verifier::{DatabaseMode, Verifier, VerifyOptions};
+use ddws_verifier::{DatabaseMode, RuleEval, StateRepr, Verifier, VerifyOptions};
 
 /// Alice greets a friend (user input), sends `ping`; Bob records `seen` and
 /// pongs back; Alice records `ponged`.
@@ -187,6 +187,42 @@ fn budget_stop_resumes_to_the_unbounded_verdict() {
         assert_eq!(resumed.telemetry.entry_point, "resume");
         assert_eq!(resumed.valuations_checked, expected.valuations_checked);
     }
+}
+
+#[test]
+fn resume_keeps_the_checkpointed_engine_and_representation() {
+    // A checkpoint's state store fixes the rule engine and the
+    // configuration representation its frozen ids belong to, so resume
+    // options that name another pair are overridden.
+    let mut v = Verifier::new(ping_pong(true));
+    let property = "G (forall x: Bob.?ping(x) -> Alice.friend(x))";
+    let oracle = VerifyOptions {
+        fresh_values: Some(2),
+        rule_eval: RuleEval::Interpreted,
+        state_repr: StateRepr::Legacy,
+        ..VerifyOptions::default()
+    };
+    let expected = v.check_str(property, &oracle).unwrap();
+    let bounded = VerifyOptions {
+        max_states: 10,
+        ..oracle.clone()
+    };
+    let cp = match v.check_str(property, &bounded).unwrap().outcome {
+        ddws_verifier::Outcome::Inconclusive(inc) => inc.checkpoint.unwrap(),
+        other => panic!("expected an inconclusive outcome, got {other:?}"),
+    };
+    let mismatched = VerifyOptions {
+        rule_eval: RuleEval::Compiled,
+        state_repr: StateRepr::Compact,
+        ..oracle
+    };
+    let resumed = v.resume(cp, &mismatched).unwrap();
+    assert!(!resumed.outcome.is_inconclusive());
+    assert_eq!(resumed.outcome.holds(), expected.outcome.holds());
+    assert_eq!(resumed.stats.states_visited, expected.stats.states_visited);
+    assert_eq!(resumed.telemetry.rule_eval, "interpreted");
+    // The legacy store meters no interning; the compact one would.
+    assert_eq!(resumed.stats.intern_calls, 0);
 }
 
 #[test]

@@ -15,11 +15,10 @@ use ddws_logic::LtlFo;
 use ddws_model::{Composition, IndependenceOracle};
 use ddws_relational::Instance;
 use ddws_testkit::{compgen, gen, seed_from};
-use ddws_verifier::domain::packing_capacity;
 use ddws_verifier::ground::{canonical_valuations, ground_ltlfo, AtomRegistry};
 use ddws_verifier::oracle::FactUniverse;
 use ddws_verifier::product::{PState, ProductSystem, SharedSearch};
-use ddws_verifier::{DatabaseMode, Verifier, VerifyOptions};
+use ddws_verifier::{DatabaseMode, RuleEval, StateRepr, Verifier, VerifyOptions};
 use std::collections::{BTreeSet, HashSet, VecDeque};
 
 /// Product states expanded per (valuation, representation, reduction).
@@ -99,11 +98,12 @@ fn assert_reexpansion_is_deterministic(
     let valuations = canonical_valuations(&sentence.universal_vars, &domain, &[]);
     for compact in [true, false] {
         for ample in [false, true] {
-            let shared = if compact {
-                SharedSearch::compiled(&comp).with_compact(&comp, packing_capacity(&comp, &domain))
+            let repr = if compact {
+                StateRepr::Compact
             } else {
-                SharedSearch::compiled(&comp)
+                StateRepr::Legacy
             };
+            let shared = SharedSearch::new(&comp, RuleEval::Compiled, repr, &domain);
             let oracle = ample.then(|| IndependenceOracle::new(&comp, &observed));
             for (i, valuation) in valuations.iter().take(VALUATION_CAP).enumerate() {
                 let mut atoms = AtomRegistry::new();
